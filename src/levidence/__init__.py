@@ -3,9 +3,9 @@
 from .baselines import NestedConfig, run_mc, run_nested
 from .core import (BayesianProblem, CountingLikelihood, EvidenceEstimate,
                    LevelTrace, MarginalPrior, TerminationReason,
-                   effective_sample_size, evidence_update, exceeds_level,
-                   log_sum_exp, normal_prior, posterior_moments,
-                   shell_statistics, truncated_normal_prior, uniform_prior)
+                   effective_sample_size, evidence_update, log_sum_exp,
+                   normal_prior, posterior_moments, shell_statistics,
+                   truncated_normal_prior, uniform_prior)
 from .lla_is import GaussianISD, ISConfig, fit_isd, run_lla_is
 from .lla_mcmc import (KernelConfig, MCMCConfig, constrained_mh_step,
                        run_lla_mcmc)
@@ -20,7 +20,7 @@ from .selection import (ModelSet, log_bayes_factor,
 __all__ = [
     "BayesianProblem", "CountingLikelihood", "EvidenceEstimate", "LevelTrace",
     "MarginalPrior", "TerminationReason", "effective_sample_size",
-    "evidence_update", "exceeds_level", "log_sum_exp", "normal_prior",
+    "evidence_update", "log_sum_exp", "normal_prior",
     "posterior_moments", "shell_statistics", "truncated_normal_prior",
     "uniform_prior", "LevelPolicy", "StoppingPolicy", "select_level",
     "should_stop", "GaussianISD", "ISConfig", "fit_isd", "run_lla_is",

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (NEG_INF, CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, log_sum_exp,
-                   shell_statistics)
-from .lla_mcmc import KernelConfig, constrained_mh_step
-from .schedule import StoppingPolicy, should_stop
+# evidence_update, should_stop and constrained_mh_step are called elsewhere;
+# perfbench/layers.py wraps them here, so they stay imported
+from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
+                   TerminationReason, evidence_update, finalize_estimate,
+                   log_sum_exp, shell_statistics)
+from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
+                       replenish)
+from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
+                       StopRun, run_levels, should_stop)
 
 NESTED_WALK_STEPS = 20
 
@@ -57,26 +61,42 @@ def run_mc(problem, n, seed):
     trace.add_level(log_E, 0.0, log_E, shell_mean, shell_second, logL_fn.count)
     est = finalize_estimate(trace, TerminationReason.max_evals, logL_fn.count,
                             problem.dimension)
-    est.log_evidence = log_E
-    est.standard_error_log = se_log
-    return est
+    return replace(est, standard_error_log=se_log)
 
 
-def _replace_point(problem, logL_fn, live, live_log_L, log_lambda, kernel,
-                   stddev, component_wise, seed_seq):
-    """Constrained MH walk from a random survivor strictly above the level."""
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_seq)))
-    above = np.flatnonzero(live_log_L > log_lambda)
-    if above.size == 0:
-        return None
-    start = above[rng.integers(above.size)]
-    state = np.array(live[start], dtype=float)
-    log_L = live_log_L[start]
-    for _ in range(kernel.steps_per_sample):
-        state, log_L, _ = constrained_mh_step(
-            state, log_L, log_lambda, stddev, component_wise, problem,
-            logL_fn, rng)
-    return state, log_L
+class _NestedLevels(LevelStrategy):
+    """Replaces the worst live point by a constrained walk each iteration."""
+
+    def __init__(self, problem, config, seed):
+        super().__init__(problem, config, seed)
+        self.stddev, self.component_wise = config.kernel.resolve(problem)
+        rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        self.live = problem.sample_prior(rng0, config.n_live)
+        self.live_log_L = np.array([self.logL_fn(s) for s in self.live])
+
+    def level(self, iteration, trace):
+        self.worst = int(np.argmin(self.live_log_L))
+        log_lambda = float(self.live_log_L[self.worst])
+        if log_lambda <= trace.log_lambda_current:
+            raise StopRun(TerminationReason.degenerate_level)
+        return log_lambda
+
+    def mass(self, iteration, log_lambda, trace):
+        # the replacement is drawn before the level is recorded, so its
+        # evaluations count towards this level; with no live point strictly
+        # above (a constant plateau) the run stops before shrinking
+        above = self.live_log_L > log_lambda
+        new, new_log_L = replenish(
+            self.live[above], self.live_log_L[above], log_lambda,
+            self.stddev, self.component_wise,
+            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
+            [(self.seed, iteration)])
+        x = math.exp(-iteration / self.config.n_live)
+        dead = self.live[[self.worst]]
+        self.live[self.worst] = new[0]
+        self.live_log_L[self.worst] = new_log_L[0]
+        # the live set bounds what the remaining mass can still contribute
+        return x, dead, None, self.live_log_L.max() + math.log(x)
 
 
 def run_nested(problem, config, seed):
@@ -85,67 +105,17 @@ def run_nested(problem, config, seed):
     Live points are replaced via the constrained MH kernel; the final
     live-set contribution is added on termination.
     """
-    logL_fn = CountingLikelihood(problem.log_likelihood)
-    n_live = config.n_live
-    stddev, component_wise = config.kernel.resolve(problem)
-
-    rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    live = problem.sample_prior(rng0, n_live)
-    live_log_L = np.array([logL_fn(s) for s in live])
-
-    trace = LevelTrace()
-    log_E = NEG_INF
-    x_prev = 1.0
-    reason = None
-    i = 0
-
-    while True:
-        i += 1
-        worst = int(np.argmin(live_log_L))
-        log_lambda = float(live_log_L[worst])
-        if log_lambda <= trace.log_lambda_current:
-            reason = TerminationReason.degenerate_level
-            i -= 1
-            x_cur = x_prev
-            break
-        replacement = _replace_point(problem, logL_fn, live, live_log_L,
-                                     log_lambda, config.kernel, stddev,
-                                     component_wise, (seed, i))
-        if replacement is None:
-            # constant plateau: no point strictly above, stop before shrinking
-            reason = TerminationReason.degenerate_level
-            i -= 1
-            x_cur = x_prev
-            break
-
-        x_cur = math.exp(-i / n_live)
-        log_E, log_inc = evidence_update(log_E, log_lambda, x_prev, x_cur)
-        shell_mean, shell_second = shell_statistics(live[worst][None, :])
-        trace.add_level(log_lambda, x_cur, log_inc, shell_mean, shell_second,
-                        logL_fn.count)
-        live[worst], live_log_L[worst] = replacement
-        x_prev = x_cur
-
-        stop, reason = should_stop(trace, config.stopping, log_inc)
-        # the delta-evidence criterion uses the bound on what the live set
-        # can still contribute, not the raw last increment
-        if stop and reason == TerminationReason.delta_evidence:
-            remaining = live_log_L.max() + math.log(x_cur)
-            if remaining - log_E >= math.log(config.stopping.delta_evidence_tol):
-                stop, reason = False, None
-        if stop:
-            break
+    nested = _NestedLevels(problem, config, seed)
+    est = run_levels(nested)
+    trace, live, live_log_L = est.trace, nested.live, nested.live_log_L
 
     # final live-set contribution: each point carries mass X_final / n_live
-    log_live = log_sum_exp(live_log_L) - math.log(n_live) + math.log(x_cur) \
-        if x_cur > 0 else NEG_INF
-    log_E = log_sum_exp([log_E, log_live]) if log_E > NEG_INF else log_live
-    shell_mean, shell_second = shell_statistics(live)
+    x_final = trace.chi_current
     lam_final = float(live_log_L.max())
     if lam_final > trace.log_lambda_current:
-        trace.add_level(lam_final, 0.0, log_live, shell_mean, shell_second,
-                        logL_fn.count)
-
-    est = finalize_estimate(trace, reason, logL_fn.count, problem.dimension)
-    est.log_evidence = log_E
-    return est
+        log_live = (log_sum_exp(live_log_L) - math.log(config.n_live)
+                    + math.log(x_final)) if x_final > 0 else NEG_INF
+        trace.add_level(lam_final, 0.0, log_live, *shell_statistics(live),
+                        est.total_evals)
+    return finalize_estimate(trace, est.termination_reason, est.total_evals,
+                             problem.dimension)

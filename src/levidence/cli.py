@@ -7,6 +7,8 @@ budgets to tabulate error against cost.
 
 Config files are INI-style: an [experiment] section plus optional sections
 named after the estimator and the shared [stopping] and [level] policies.
+Keys in those sections are the field names of the matching config
+dataclasses; an unknown key is an error.
 All randomness flows from the configured seed, so outputs are byte
 identical for a given (config, seed) regardless of worker count.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import math
 import sys
 import time
@@ -80,47 +83,50 @@ def _key_line(path, section, key=None):
     return 1
 
 
-class _Section:
-    """Typed access to one config section with located error messages."""
+def _parse_bool(raw):
+    return {"true": True, "false": False}[raw.strip().lower()]
 
-    def __init__(self, path, parser, name):
-        self.path = path
-        self.name = name
-        self.section = parser[name] if parser.has_section(name) else {}
 
-    def _get(self, key, cast, default, required):
-        if key not in self.section:
-            if required:
-                raise ConfigError(self.path, _key_line(self.path, self.name),
-                                  "missing required field '%s' in [%s]"
-                                  % (key, self.name))
-            return default
-        raw = self.section[key]
+def _parse_int_list(raw):
+    return [int(t) for t in raw.split(",") if t.strip()]
+
+
+# INI value parsers by config-dataclass field annotation; fields of any other
+# type (the nested policies and kernel) are not INI keys
+_PARSERS = {"int": int, "float": float, "float | None": float,
+            "bool | None": _parse_bool, "tuple": _parse_int_list,
+            # one proposal scale, applied to every coordinate
+            "np.ndarray | None": float}
+
+EXPERIMENT_KEYS = {"benchmark": str, "estimator": str, "seed": int,
+                   "replications": int}
+
+
+def _keys(*classes):
+    """Parsers of the INI keys of config dataclasses: their field names."""
+    return {f.name: _PARSERS[f.type] for cls in classes
+            for f in dataclasses.fields(cls) if f.type in _PARSERS}
+
+
+def _section(cfg, name, parsers):
+    """Parsed values of the keys present in section `name`.
+
+    Unknown keys and unparseable values are ConfigErrors at their line.
+    """
+    path, parser = cfg["path"], cfg["parser"]
+    if not parser.has_section(name):
+        return {}
+    values = {}
+    for key, raw in parser.items(name):
+        if key not in parsers:
+            raise ConfigError(path, _key_line(path, name, key),
+                              "unknown key '%s' in [%s]" % (key, name))
         try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(self.path,
-                              _key_line(self.path, self.name, key),
+            values[key] = parsers[key](raw)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(path, _key_line(path, name, key),
                               "bad value for '%s': %r" % (key, raw))
-
-    def get_str(self, key, default=None, required=False):
-        return self._get(key, str, default, required)
-
-    def get_int(self, key, default=None, required=False):
-        return self._get(key, int, default, required)
-
-    def get_float(self, key, default=None, required=False):
-        return self._get(key, float, default, required)
-
-    def get_bool(self, key, default=None):
-        return self._get(
-            key, lambda s: {"true": True, "false": False}[s.strip().lower()],
-            default, False)
-
-    def get_int_list(self, key, default=None):
-        return self._get(
-            key, lambda s: [int(t) for t in s.split(",") if t.strip()],
-            default, False)
+    return values
 
 
 def load_config(path):
@@ -137,12 +143,15 @@ def load_config(path):
 
     if not parser.has_section("experiment"):
         raise ConfigError(path, 1, "missing [experiment] section")
-    exp = _Section(path, parser, "experiment")
-    benchmark = exp.get_str("benchmark", required=True)
-    estimator = exp.get_str("estimator", required=True)
-    seed = exp.get_int("seed", required=True)
-    replications = exp.get_int("replications", default=1)
+    cfg = {"path": path, "parser": parser, "replications": 1}
+    cfg.update(_section(cfg, "experiment", EXPERIMENT_KEYS))
+    for key in ("benchmark", "estimator", "seed"):
+        if key not in cfg:
+            raise ConfigError(path, _key_line(path, "experiment"),
+                              "missing required field '%s' in [experiment]"
+                              % key)
 
+    estimator, benchmark = cfg["estimator"], cfg["benchmark"]
     if estimator not in ESTIMATOR_NAMES:
         raise ConfigError(path, _key_line(path, "experiment", "estimator"),
                           "unknown estimator '%s' (choose from %s)"
@@ -150,115 +159,62 @@ def load_config(path):
     if benchmark not in BENCHMARK_NAMES or benchmark.endswith("_set"):
         raise ConfigError(path, _key_line(path, "experiment", "benchmark"),
                           "unknown or non-runnable benchmark '%s'" % benchmark)
-    if replications < 1:
+    if cfg["replications"] < 1:
         raise ConfigError(path, _key_line(path, "experiment", "replications"),
                           "replications must be >= 1")
-    if not 0 <= seed < 2**64:
+    if not 0 <= cfg["seed"] < 2**64:
         raise ConfigError(path, _key_line(path, "experiment", "seed"),
                           "seed must be a 64-bit nonnegative integer")
-
-    return {
-        "path": path,
-        "parser": parser,
-        "benchmark": benchmark,
-        "estimator": estimator,
-        "seed": seed,
-        "replications": replications,
-    }
+    return cfg
 
 
-def _stopping_policy(cfg):
-    sec = _Section(cfg["path"], cfg["parser"], "stopping")
+def _build(cfg, name, cls, values, **given):
+    """cls(**given, **values); its validation errors point at [name]."""
     try:
-        return StoppingPolicy(
-            delta_evidence_tol=sec.get_float("delta_evidence_tol",
-                                             default=1e-4),
-            chi_tol=sec.get_float("chi_tol", default=0.005),
-            max_iterations=sec.get_int("max_iterations", default=100),
-            max_evals=sec.get_int("max_evals", default=20000),
-        )
+        return cls(**given, **values)
     except ValueError as exc:
-        raise ConfigError(cfg["path"], _key_line(cfg["path"], "stopping"),
-                          str(exc))
+        raise ConfigError(cfg["path"], _key_line(cfg["path"], name), str(exc))
 
 
-def _level_policy(cfg, default=None):
-    if not cfg["parser"].has_section("level"):
-        return default if default is not None else LevelPolicy()
-    sec = _Section(cfg["path"], cfg["parser"], "level")
-    base = default if default is not None else LevelPolicy()
-    try:
-        return LevelPolicy(
-            f_init=sec.get_float("f_init", default=base.f_init),
-            f_slope=sec.get_float("f_slope", default=base.f_slope),
-            f_max=sec.get_float("f_max", default=base.f_max),
-            escalation_factor=sec.get_float("escalation_factor",
-                                            default=base.escalation_factor),
-            escalation_cap=sec.get_float("escalation_cap",
-                                         default=base.escalation_cap),
-        )
-    except ValueError as exc:
-        raise ConfigError(cfg["path"], _key_line(cfg["path"], "level"),
-                          str(exc))
+def _config(cfg, name, cls, **given):
+    """A config dataclass from section `name`, keyed by its field names."""
+    return _build(cfg, name, cls, _section(cfg, name, _keys(cls)), **given)
 
 
 def _estimator_runner(cfg, problem, stopping):
     """Bind the configured estimator to a callable of one seed argument."""
-    name = cfg["estimator"]
-    sec = _Section(cfg["path"], cfg["parser"], name)
-    try:
-        if name == "mc":
-            n = sec.get_int("n", default=20000)
-            return lambda s: run_mc(problem, n, s)
-        if name == "nested":
-            conf = NestedConfig(
-                n_live=sec.get_int("n_live", default=500),
-                stopping=stopping,
-            )
-            return lambda s: run_nested(problem, conf, s)
-        if name == "lla_is":
-            conf = ISConfig(
-                n_initial=sec.get_int("n_initial", default=1000),
-                ess_threshold_fraction=sec.get_float(
-                    "ess_threshold_fraction", default=0.5),
-                stddev_multiplier=sec.get_float("stddev_multiplier",
-                                                default=2.0),
-                stddev_override=sec.get_float("stddev_override", default=None),
-                level_policy=_level_policy(cfg),
-                stopping=stopping,
-            )
-            return lambda s: run_lla_is(problem, conf, s)
-        if name == "lla_ss":
-            counts = sec.get_int_list("per_dim_counts",
-                                      default=[5] * problem.dimension)
-            if len(counts) == 1 and problem.dimension > 1:
-                counts = counts * problem.dimension
-            conf = SSConfig(
-                per_dim_counts=tuple(counts),
-                n_per_iteration=sec.get_int("n_per_iteration", default=500),
-                level_policy=_level_policy(cfg),
-                stopping=stopping,
-            )
-            return lambda s: run_lla_ss(problem, conf, s)
-        kernel = KernelConfig(
-            proposal_stddev=None,
-            component_wise=sec.get_bool("component_wise", default=None),
-            steps_per_sample=sec.get_int("steps_per_sample", default=5),
-        )
-        scale = sec.get_float("proposal_stddev", default=None)
-        if scale is not None:
-            kernel.proposal_stddev = np.full(problem.dimension, scale)
-        conf = MCMCConfig(
-            n_samples=sec.get_int("n_samples", default=1000),
-            n_replace=sec.get_int("n_replace", default=25),
-            kernel=kernel,
-            level_policy=_level_policy(cfg, default=None)
-            if cfg["parser"].has_section("level") else None,
-            stopping=stopping,
-        )
-        return lambda s: run_lla_mcmc(problem, conf, s)
-    except ValueError as exc:
-        raise ConfigError(cfg["path"], _key_line(cfg["path"], name), str(exc))
+    name, dim = cfg["estimator"], problem.dimension
+    if name == "mc":
+        n = _section(cfg, name, {"n": int}).get("n", 20000)
+        return lambda s: run_mc(problem, n, s)
+    if name == "nested":
+        conf = _config(cfg, name, NestedConfig, stopping=stopping)
+        return lambda s: run_nested(problem, conf, s)
+    level = _config(cfg, "level", LevelPolicy)
+    if name == "lla_is":
+        conf = _config(cfg, name, ISConfig, level_policy=level,
+                       stopping=stopping)
+        return lambda s: run_lla_is(problem, conf, s)
+    if name == "lla_ss":
+        values = _section(cfg, name, _keys(SSConfig))
+        counts = values.get("per_dim_counts", [5])
+        if len(counts) == 1:
+            values["per_dim_counts"] = counts * dim
+        conf = _build(cfg, name, SSConfig, values, level_policy=level,
+                      stopping=stopping)
+        return lambda s: run_lla_ss(problem, conf, s)
+    values = _section(cfg, name, _keys(MCMCConfig, KernelConfig))
+    kernel_values = {k: values.pop(k) for k in _keys(KernelConfig)
+                     if k in values}
+    if "proposal_stddev" in kernel_values:
+        kernel_values["proposal_stddev"] = np.full(
+            dim, kernel_values["proposal_stddev"])
+    kernel = _build(cfg, name, KernelConfig, kernel_values)
+    # without a [level] section the schedule follows n_replace / n_samples
+    has_level = cfg["parser"].has_section("level")
+    conf = _build(cfg, name, MCMCConfig, values, kernel=kernel,
+                  level_policy=level if has_level else None, stopping=stopping)
+    return lambda s: run_lla_mcmc(problem, conf, s)
 
 
 def replication_seed(base_seed, replication):
@@ -356,7 +312,8 @@ def read_record(path):
     return out
 
 
-def cmd_run(args):
+def _load_with_overrides(args):
+    """The config file with the command line's seed/replication overrides."""
     cfg = load_config(args.config)
     if args.seed_override is not None:
         cfg["seed"] = args.seed_override
@@ -364,9 +321,13 @@ def cmd_run(args):
         if args.replications_override < 1:
             raise ConfigError(args.config, 1, "replications must be >= 1")
         cfg["replications"] = args.replications_override
+    return cfg
 
+
+def cmd_run(args):
+    cfg = _load_with_overrides(args)
     problem, reference = make_benchmark(cfg["benchmark"], cfg["seed"])
-    stopping = _stopping_policy(cfg)
+    stopping = _config(cfg, "stopping", StoppingPolicy)
     runner = _estimator_runner(cfg, problem, stopping)
 
     out_dir = Path(args.out_dir)
@@ -450,14 +411,9 @@ def cmd_convergence(args):
     if any(b < 1 for b in budgets):
         raise ConfigError("<args>", 1, "budgets must be positive")
 
-    cfg = load_config(args.config)
-    if args.seed_override is not None:
-        cfg["seed"] = args.seed_override
-    if args.replications_override is not None:
-        cfg["replications"] = args.replications_override
-
+    cfg = _load_with_overrides(args)
     problem, reference = make_benchmark(cfg["benchmark"], cfg["seed"])
-    base_stopping = _stopping_policy(cfg)
+    base_stopping = _config(cfg, "stopping", StoppingPolicy)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -465,12 +421,7 @@ def cmd_convergence(args):
     start = time.perf_counter()
     rows = []
     for budget in budgets:
-        stopping = StoppingPolicy(
-            delta_evidence_tol=base_stopping.delta_evidence_tol,
-            chi_tol=base_stopping.chi_tol,
-            max_iterations=base_stopping.max_iterations,
-            max_evals=budget,
-        )
+        stopping = dataclasses.replace(base_stopping, max_evals=budget)
         runner = _estimator_runner(cfg, problem, stopping)
         _, results = _run_replications(runner, cfg["seed"],
                                        cfg["replications"], args.workers)

@@ -1,9 +1,8 @@
 """Log-domain primitives, prior/problem types, and evidence accumulation.
 
 Everything here is shared by the level-adapted estimators and the baselines:
-numerically safe log-sum-exp, the strict exceedance indicator, effective
-sample size, the rectangle-rule evidence update, and posterior-moment
-recovery from a level trace.
+numerically safe log-sum-exp, effective sample size, the rectangle-rule
+evidence update, and posterior-moment recovery from a level trace.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ def open_uniform(rng, size=None):
     """
     u = rng.uniform(size=size)
     return np.clip(u, 1e-16, 1.0 - 1e-16)
-
-
-def exceeds_level(log_L, log_lambda):
-    """Strict exceedance: ties count as non-exceeding."""
-    return log_L > log_lambda
 
 
 def effective_sample_size(weights):
@@ -230,6 +224,9 @@ class LevelTrace:
 
     chi starts implicitly at 1.0; entries are appended once per accepted
     level.  Shell means/second moments may be None for empty shells.
+    log_evidence is the running sum of the increments.  var_chi and
+    active_counts are filled only by stratified sampling: the plug-in
+    variance of each chi and the active stratum count after each retirement.
     """
 
     log_lambda: list = field(default_factory=list)
@@ -238,6 +235,9 @@ class LevelTrace:
     shell_means: list = field(default_factory=list)
     shell_second_moments: list = field(default_factory=list)
     n_evals: list = field(default_factory=list)
+    log_evidence: float = NEG_INF
+    var_chi: list = field(default_factory=list)
+    active_counts: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.log_lambda)
@@ -250,12 +250,6 @@ class LevelTrace:
     def log_lambda_current(self):
         return self.log_lambda[-1] if self.log_lambda else NEG_INF
 
-    @property
-    def log_evidence(self):
-        if not self.log_evidence_increments:
-            return NEG_INF
-        return log_sum_exp(self.log_evidence_increments)
-
     def add_level(self, log_lambda, chi, log_increment, shell_mean,
                   shell_second_moment, cumulative_evals):
         if self.chi and chi > self.chi[-1] + 1e-15:
@@ -266,6 +260,10 @@ class LevelTrace:
         self.shell_means.append(shell_mean)
         self.shell_second_moments.append(shell_second_moment)
         self.n_evals.append(int(cumulative_evals))
+        if log_increment > NEG_INF:
+            self.log_evidence = (
+                float(log_increment) if self.log_evidence == NEG_INF
+                else log_sum_exp([self.log_evidence, log_increment]))
 
 
 @dataclass
@@ -276,6 +274,7 @@ class EvidenceEstimate:
     posterior_variance: np.ndarray
     termination_reason: TerminationReason
     total_evals: int
+    standard_error_log: float | None = None
 
 
 def posterior_moments(trace, log_evidence):

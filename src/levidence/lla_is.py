@@ -17,11 +17,14 @@ import numpy as np
 from scipy import stats
 
 from . import core
-from .core import (NEG_INF, CountingLikelihood, LevelTrace, TerminationReason,
+# run_levels calls evidence_update, finalize_estimate, shell_statistics and
+# should_stop; perfbench/layers.py wraps them here, so they stay imported
+from .core import (NEG_INF, TerminationReason,  # noqa: F401
                    effective_sample_size, evidence_update, finalize_estimate,
                    log_sum_exp, shell_statistics)
-from .schedule import (DegenerateLevelError, LevelPolicy, StoppingPolicy,
-                       select_level, should_stop)
+from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
+                       StoppingPolicy, StopRun, run_levels, select_level,
+                       should_stop)
 
 STDDEV_FLOOR_FRACTION = 1e-8
 
@@ -108,92 +111,67 @@ def chi_is(log_likelihoods, log_weights, log_lambda):
     return math.exp(log_sum_exp(log_w[mask]) - math.log(len(log_L)))
 
 
-def run_lla_is(problem, config, seed):
-    """Run the full importance-sampling evidence loop."""
-    logL_fn = CountingLikelihood(problem.log_likelihood)
-    support = problem.support
-    gamma_s = config.ess_threshold_fraction * config.n_initial
+class _ISLevels(LevelStrategy):
+    """Draws from the current importance density (the prior at first)."""
 
-    trace = LevelTrace()
-    log_E = NEG_INF
-    chi_prev = 1.0
-    isd = None  # prior is the ISD for iteration 1
-    reason = None
-    iteration = 0
+    def __init__(self, problem, config, seed):
+        super().__init__(problem, config, seed)
+        self.isd = None
 
-    while True:
-        iteration += 1
-        rng = np.random.default_rng(np.random.SeedSequence([seed, iteration]))
-
-        if isd is None:
-            samples = problem.sample_prior(rng, config.n_initial)
-            log_w = np.zeros(config.n_initial)
+    def _draw(self, n):
+        """n samples with their log prior/importance weights and log L."""
+        if self.isd is None:
+            samples = self.problem.sample_prior(self.rng, n)
+            log_w = np.zeros(n)
         else:
-            samples = isd.sample(rng, config.n_initial)
-            log_w = np.array([
-                problem.log_prior(s) - isd.log_pdf(s) for s in samples
-            ])
-        log_L = np.array([logL_fn(s) for s in samples])
+            samples = self.isd.sample(self.rng, n)
+            log_w = np.array([self.problem.log_prior(s) - self.isd.log_pdf(s)
+                              for s in samples])
+        return samples, log_w, np.array([self.logL_fn(s) for s in samples])
 
-        try:
-            log_lambda, _ = select_level(
-                np.sort(log_L), config.level_policy, iteration,
-                trace.log_lambda_current)
-        except DegenerateLevelError:
-            reason = TerminationReason.degenerate_level
-            break
+    def level(self, iteration, trace):
+        self.rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, iteration]))
+        self.samples, self.log_w, self.log_L = self._draw(
+            self.config.n_initial)
+        log_lambda, _ = select_level(
+            np.sort(self.log_L), self.config.level_policy, iteration,
+            trace.log_lambda_current)
+        return log_lambda
 
+    def mass(self, iteration, log_lambda, trace):
         # ESS guard: top up from the same density until the guard passes.
         # If the eval budget runs out first, stop without estimating chi
         # from the sub-threshold weights.
-        guard_failed = False
-        while effective_sample_size(np.exp(log_w - log_w.max())) <= gamma_s:
-            if logL_fn.count >= config.stopping.max_evals:
-                guard_failed = True
-                break
-            ess = effective_sample_size(np.exp(log_w - log_w.max()))
-            extra = int(math.ceil(gamma_s - ess))
-            if isd is None:
-                new = problem.sample_prior(rng, extra)
-                new_w = np.zeros(extra)
-            else:
-                new = isd.sample(rng, extra)
-                new_w = np.array([
-                    problem.log_prior(s) - isd.log_pdf(s) for s in new
-                ])
-            new_L = np.array([logL_fn(s) for s in new])
-            samples = np.vstack([samples, new])
-            log_w = np.concatenate([log_w, new_w])
-            log_L = np.concatenate([log_L, new_L])
-        if guard_failed:
-            reason = TerminationReason.max_evals
-            break
+        gamma_s = self.config.ess_threshold_fraction * self.config.n_initial
+        while (ess := effective_sample_size(
+                np.exp(self.log_w - self.log_w.max()))) <= gamma_s:
+            if self.logL_fn.count >= self.config.stopping.max_evals:
+                raise StopRun(TerminationReason.max_evals)
+            new, new_w, new_L = self._draw(int(math.ceil(gamma_s - ess)))
+            self.samples = np.vstack([self.samples, new])
+            self.log_w = np.concatenate([self.log_w, new_w])
+            self.log_L = np.concatenate([self.log_L, new_L])
 
-        chi = chi_is(log_L, log_w, log_lambda)
-        chi = min(chi, chi_prev)
-        log_E, log_inc = evidence_update(
-            log_E, log_lambda, chi_prev, chi)
-
+        log_L = self.log_L
         in_shell = (log_L > trace.log_lambda_current) & (log_L <= log_lambda) \
-            if trace.log_lambda else (log_L <= log_lambda)
-        shell_mean, shell_second = shell_statistics(samples[in_shell])
-        trace.add_level(log_lambda, chi, log_inc, shell_mean, shell_second,
-                        logL_fn.count)
-        chi_prev = chi
+            if len(trace) else (log_L <= log_lambda)
+        return (chi_is(log_L, self.log_w, log_lambda), self.samples[in_shell],
+                None, NEG_INF)
 
-        stop, reason = should_stop(trace, config.stopping, log_inc)
-        if stop:
-            break
-
-        retained = samples[log_L > log_lambda]
+    def advance(self, iteration, log_lambda, trace):
+        retained = self.samples[self.log_L > log_lambda]
         try:
-            isd = fit_isd(retained, config.stddev_multiplier, support,
-                          stddev_override=config.stddev_override)
+            self.isd = fit_isd(retained, self.config.stddev_multiplier,
+                               self.problem.support,
+                               stddev_override=self.config.stddev_override)
         except InsufficientSamplesError:
-            if isd is None:
-                reason = TerminationReason.degenerate_level
-                break
+            if self.isd is None:
+                raise StopRun(TerminationReason.degenerate_level)
             warnings.warn("too few survivors to refit ISD; reusing previous",
                           RuntimeWarning)
 
-    return finalize_estimate(trace, reason, logL_fn.count, problem.dimension)
+
+def run_lla_is(problem, config, seed):
+    """Run the full importance-sampling evidence loop."""
+    return run_levels(_ISLevels(problem, config, seed))

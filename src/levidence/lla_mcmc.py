@@ -14,16 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, shell_statistics)
-from .schedule import (DegenerateLevelError, LevelPolicy, StoppingPolicy,
-                       select_level, should_stop)
+# run_levels calls evidence_update, finalize_estimate, shell_statistics and
+# should_stop; perfbench/layers.py wraps them here, so they stay imported
+from .core import (NEG_INF, TerminationReason, evidence_update,  # noqa: F401
+                   finalize_estimate, shell_statistics)
+from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
+                       StoppingPolicy, StopRun, run_levels, select_level,
+                       should_stop)
 
 COMPONENT_WISE_DIMENSION = 10
 
 
-class LevelUnreachableError(RuntimeError):
-    pass
+class LevelUnreachableError(StopRun):
+    """No sample survives above the level to start a chain from."""
+
+    def __init__(self, message):
+        super().__init__(TerminationReason.degenerate_level, message)
 
 
 @dataclass
@@ -100,17 +106,20 @@ def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
     return state, log_L_state, False
 
 
-def replenish(passing, passing_log_L, n_needed, log_lambda, kernel_stddev,
-              component_wise, steps_per_sample, problem, logL_fn, seed_seq):
-    """Replacement samples above the level, one short chain per sample."""
+def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
+              component_wise, steps_per_sample, problem, logL_fn, seed_paths):
+    """Replacement samples above the level, one short chain per seed path.
+
+    Each chain starts at a survivor drawn by its own generator, seeded from
+    its entry of seed_paths, and takes steps_per_sample constrained steps.
+    """
     if len(passing) == 0:
         raise LevelUnreachableError("level unreachable: no surviving samples")
-    if n_needed < 1:
-        raise ValueError("n_needed must be >= 1")
+    if len(seed_paths) < 1:
+        raise ValueError("need at least one chain")
     out_samples, out_log_L = [], []
-    for chain in range(n_needed):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            list(seed_seq) + [chain]))
+    for path in seed_paths:
+        rng = np.random.default_rng(np.random.SeedSequence(list(path)))
         start = rng.integers(len(passing))
         state = np.array(passing[start], dtype=float)
         log_L = passing_log_L[start]
@@ -130,55 +139,41 @@ def chi_mcmc(chi_prev, n_pass, n_total):
     return chi_prev * n_pass / n_total
 
 
+class _MCMCLevels(LevelStrategy):
+    """A fixed-size population, replenished above each level by MCMC."""
+
+    def __init__(self, problem, config, seed):
+        super().__init__(problem, config, seed)
+        self.kernel_stddev, self.component_wise = config.kernel.resolve(
+            problem)
+        self.level_policy = config.resolved_level_policy()
+        rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        self.samples = problem.sample_prior(rng0, config.n_samples)
+        self.log_L = np.array([self.logL_fn(s) for s in self.samples])
+
+    def level(self, iteration, trace):
+        log_lambda, _ = select_level(np.sort(self.log_L), self.level_policy,
+                                     iteration, trace.log_lambda_current)
+        return log_lambda
+
+    def mass(self, iteration, log_lambda, trace):
+        self.passing = self.log_L > log_lambda
+        chi = chi_mcmc(trace.chi_current, int(self.passing.sum()),
+                       self.config.n_samples)
+        return chi, self.samples[~self.passing], None, NEG_INF
+
+    def advance(self, iteration, log_lambda, trace):
+        passing = self.passing
+        n_new = self.config.n_samples - int(passing.sum())
+        new_samples, new_log_L = replenish(
+            self.samples[passing], self.log_L[passing], log_lambda,
+            self.kernel_stddev, self.component_wise,
+            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
+            [(self.seed, iteration, chain) for chain in range(n_new)])
+        self.samples = np.vstack([self.samples[passing], new_samples])
+        self.log_L = np.concatenate([self.log_L[passing], new_log_L])
+
+
 def run_lla_mcmc(problem, config, seed):
     """Run the full MCMC evidence loop."""
-    logL_fn = CountingLikelihood(problem.log_likelihood)
-    kernel_stddev, component_wise = config.kernel.resolve(problem)
-    level_policy = config.resolved_level_policy()
-    n = config.n_samples
-
-    rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    samples = problem.sample_prior(rng0, n)
-    log_L = np.array([logL_fn(s) for s in samples])
-
-    trace = LevelTrace()
-    log_E = float("-inf")
-    chi_prev = 1.0
-    reason = None
-    iteration = 0
-
-    while True:
-        iteration += 1
-        try:
-            log_lambda, _ = select_level(np.sort(log_L), level_policy,
-                                         iteration, trace.log_lambda_current)
-        except DegenerateLevelError:
-            reason = TerminationReason.degenerate_level
-            break
-
-        passing = log_L > log_lambda
-        n_pass = int(passing.sum())
-        chi = chi_mcmc(chi_prev, n_pass, n)
-        log_E, log_inc = evidence_update(log_E, log_lambda, chi_prev, chi)
-
-        shell_mean, shell_second = shell_statistics(samples[~passing])
-        trace.add_level(log_lambda, chi, log_inc, shell_mean, shell_second,
-                        logL_fn.count)
-        chi_prev = chi
-
-        stop, reason = should_stop(trace, config.stopping, log_inc)
-        if stop:
-            break
-
-        try:
-            new_samples, new_log_L = replenish(
-                samples[passing], log_L[passing], n - n_pass, log_lambda,
-                kernel_stddev, component_wise, config.kernel.steps_per_sample,
-                problem, logL_fn, (seed, iteration))
-        except LevelUnreachableError:
-            reason = TerminationReason.degenerate_level
-            break
-        samples = np.vstack([samples[passing], new_samples])
-        log_L = np.concatenate([log_L[passing], new_log_L])
-
-    return finalize_estimate(trace, reason, logL_fn.count, problem.dimension)
+    return run_levels(_MCMCLevels(problem, config, seed))

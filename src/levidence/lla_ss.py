@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NEG_INF, CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, shell_statistics)
-from .schedule import (DegenerateLevelError, LevelPolicy, StoppingPolicy,
-                       select_level, should_stop)
+# run_levels calls evidence_update, finalize_estimate, shell_statistics and
+# should_stop; perfbench/layers.py wraps them here, so they stay imported
+from .core import (NEG_INF, TerminationReason, evidence_update,  # noqa: F401
+                   finalize_estimate, shell_statistics)
+from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
+                       StoppingPolicy, StopRun, run_levels, select_level,
+                       should_stop)
 
 MAX_STRATA = 10**6
 NEAR_MISS_LOG_MARGIN = 1.0
@@ -122,50 +125,44 @@ def _allocate(n_total, n_strata):
     return [base + (1 if i < rem else 0) for i in range(n_strata)]
 
 
-def run_lla_ss(problem, config, seed):
-    """Run the full stratified-sampling evidence loop."""
-    logL_fn = CountingLikelihood(problem.log_likelihood)
-    grid = build_strata(problem, config.per_dim_counts)
-    stratum_ids = {s: i for i, s in enumerate(grid.strata)}
+class _SSLevels(LevelStrategy):
+    """Tops up every active stratum's pool each iteration."""
 
-    trace = LevelTrace()
-    log_E = NEG_INF
-    chi_prev = 1.0
-    reason = None
-    var_chi = []
-    active_counts = []
-    iteration = 0
+    def __init__(self, problem, config, seed):
+        super().__init__(problem, config, seed)
+        self.grid = build_strata(problem, config.per_dim_counts)
+        self.stratum_ids = {s: i for i, s in enumerate(self.grid.strata)}
 
-    while True:
-        iteration += 1
-        counts = _allocate(max(config.n_per_iteration, len(grid.active)),
+    def level(self, iteration, trace):
+        grid = self.grid
+        counts = _allocate(max(self.config.n_per_iteration, len(grid.active)),
                            len(grid.active))
         for s, n_s in zip(grid.active, counts):
             if n_s == 0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence(
-                [seed, iteration, stratum_ids[s]]))
-            new = sample_stratum(problem, grid.per_dim_counts, s, n_s, rng)
+                [self.seed, iteration, self.stratum_ids[s]]))
+            new = sample_stratum(self.problem, grid.per_dim_counts, s, n_s,
+                                 rng)
             pool = grid.pools[s]
             for row in new:
                 pool["samples"].append(row)
-                pool["log_L"].append(logL_fn(row))
+                pool["log_L"].append(self.logL_fn(row))
 
         # the level looks at every likelihood value ever drawn (retired
         # strata included) so the order statistic stays continuous when a
         # stratum is retired; mass estimation still uses active strata only
         pooled = np.sort(np.concatenate(
             [grid.pools[s]["log_L"] for s in grid.strata]))
-        try:
-            log_lambda, _ = select_level(pooled, config.level_policy,
-                                         iteration, trace.log_lambda_current)
-        except DegenerateLevelError:
-            reason = TerminationReason.degenerate_level
-            break
+        log_lambda, _ = select_level(pooled, self.config.level_policy,
+                                     iteration, trace.log_lambda_current)
+        return log_lambda
 
-        chi = min(chi_ss(grid, log_lambda), chi_prev)
-        var_chi.append(var_chi_ss(grid, log_lambda, chi))
-        log_E, log_inc = evidence_update(log_E, log_lambda, chi_prev, chi)
+    def mass(self, iteration, log_lambda, trace):
+        grid = self.grid
+        # the variance is taken at the clamped estimate the trace records
+        chi = min(chi_ss(grid, log_lambda), trace.chi_current)
+        trace.var_chi.append(var_chi_ss(grid, log_lambda, chi))
 
         shell_samples, shell_weights = [], []
         lam_prev = trace.log_lambda_current
@@ -176,16 +173,10 @@ def run_lla_ss(problem, config, seed):
                 if lam_prev < l <= log_lambda:
                     shell_samples.append(row)
                     shell_weights.append(per_sample_w)
-        shell_mean, shell_second = shell_statistics(
-            np.asarray(shell_samples), shell_weights or None)
-        trace.add_level(log_lambda, chi, log_inc, shell_mean, shell_second,
-                        logL_fn.count)
-        chi_prev = chi
+        return chi, np.asarray(shell_samples), shell_weights or None, NEG_INF
 
-        stop, reason = should_stop(trace, config.stopping, log_inc)
-        if stop:
-            break
-
+    def advance(self, iteration, log_lambda, trace):
+        grid = self.grid
         survivors = []
         for s in grid.active:
             top = grid.pool_max_log_L(s)
@@ -196,12 +187,11 @@ def run_lla_ss(problem, config, seed):
                     "stratum %s deactivated with top log-likelihood within "
                     "1 log-unit of the level" % (s,), RuntimeWarning)
         grid.active = survivors
-        active_counts.append(len(survivors))
+        trace.active_counts.append(len(survivors))
         if not grid.active:
-            reason = TerminationReason.chi_floor
-            break
+            raise StopRun(TerminationReason.chi_floor)
 
-    est = finalize_estimate(trace, reason, logL_fn.count, problem.dimension)
-    est.trace.var_chi = var_chi
-    est.trace.active_counts = active_counts
-    return est
+
+def run_lla_ss(problem, config, seed):
+    """Run the full stratified-sampling evidence loop."""
+    return run_levels(_SSLevels(problem, config, seed))

@@ -1,15 +1,33 @@
-"""Adaptive level selection and run termination shared by the estimators."""
+"""The level loop shared by the estimators: level selection and stopping.
+
+`run_levels` is the one rectangle-rule loop over iso-likelihood levels.
+Each estimator plugs into it as a `LevelStrategy` that differs only in how
+it draws samples and estimates the prior mass chi above each level.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .core import NEG_INF, TerminationReason
+from .core import (NEG_INF, CountingLikelihood, LevelTrace, TerminationReason,
+                   evidence_update, finalize_estimate, shell_statistics)
 
 
-class DegenerateLevelError(RuntimeError):
+class StopRun(RuntimeError):
+    """Raised by a strategy step to end the level loop for `reason`."""
+
+    def __init__(self, reason, message=None):
+        super().__init__(message or reason.value)
+        self.reason = reason
+
+
+class DegenerateLevelError(StopRun):
     """No strictly higher level can be selected from the current samples."""
+
+    def __init__(self, message):
+        super().__init__(TerminationReason.degenerate_level, message)
 
 
 @dataclass
@@ -77,7 +95,8 @@ def should_stop(trace, policy, last_log_increment):
     """Evaluate the stopping criteria in fixed priority order.
 
     Order: relative evidence change, chi floor, iteration cap, eval cap.
-    Returns (stop, reason-or-None).
+    The relative change is that of last_log_increment against the trace's
+    running log-evidence.  Returns (stop, reason-or-None).
     """
     if len(trace) == 0:
         raise ValueError("stopping policy needs at least one iteration")
@@ -95,3 +114,60 @@ def should_stop(trace, policy, last_log_increment):
     if trace.n_evals[-1] >= policy.max_evals:
         return True, TerminationReason.max_evals
     return False, None
+
+
+class LevelStrategy:
+    """How one estimator builds its level ladder inside `run_levels`.
+
+    Subclasses supply three steps, each called with the 1-based iteration:
+    - level(iteration, trace): draw or top up samples, return the next
+      log-level, strictly above trace.log_lambda_current;
+    - mass(iteration, log_lambda, trace): return (chi, shell_samples,
+      shell_weights, log_bound), where chi estimates the prior mass above
+      log_lambda, the shell holds the samples between the previous level and
+      log_lambda (weights may be None), and log_bound bounds what the mass
+      above log_lambda can still add to the evidence (NEG_INF for none);
+    - advance(iteration, log_lambda, trace): prepare the next iteration.
+    Any step ends the run by raising StopRun.
+    """
+
+    def __init__(self, problem, config, seed):
+        self.problem = problem
+        self.config = config
+        self.seed = seed
+        self.logL_fn = CountingLikelihood(problem.log_likelihood)
+
+    def advance(self, iteration, log_lambda, trace):
+        pass
+
+
+def run_levels(strategy):
+    """Run the rectangle-rule level loop of one strategy to its stop.
+
+    A chi above the previous one is clamped silently.  The delta-evidence
+    criterion sees the larger of the last increment and the strategy's
+    bound, so a bound can only postpone that criterion, never the others.
+    """
+    trace = LevelTrace()
+    stopping = strategy.config.stopping
+    try:
+        for iteration in itertools.count(1):
+            log_lambda = strategy.level(iteration, trace)
+            chi, shell, weights, log_bound = strategy.mass(
+                iteration, log_lambda, trace)
+            chi_prev = trace.chi_current
+            chi = min(chi, chi_prev)
+            _, log_inc = evidence_update(trace.log_evidence, log_lambda,
+                                         chi_prev, chi)
+            trace.add_level(log_lambda, chi, log_inc,
+                            *shell_statistics(shell, weights),
+                            strategy.logL_fn.count)
+            stop, reason = should_stop(trace, stopping,
+                                       max(log_inc, log_bound))
+            if stop:
+                break
+            strategy.advance(iteration, log_lambda, trace)
+    except StopRun as exc:
+        reason = exc.reason
+    return finalize_estimate(trace, reason, strategy.logL_fn.count,
+                             strategy.problem.dimension)

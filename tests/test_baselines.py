@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from levidence.baselines import NestedConfig, run_mc, run_nested
+from levidence.baselines import (NESTED_WALK_STEPS, NestedConfig, run_mc,
+                                 run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
                             normal_prior, uniform_prior)
 from levidence.lla_mcmc import KernelConfig
@@ -126,6 +127,23 @@ class TestRunNested:
         b = run_nested(_uniform_problem(), cfg, seed=5)
         assert a.log_evidence == b.log_evidence
         assert a.total_evals == b.total_evals
+
+    def test_live_set_bound_does_not_bypass_caps(self):
+        # on a nearly flat likelihood the live-set bound keeps vetoing the
+        # delta-evidence stop; the iteration and eval caps must still apply
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: -1e-3 * t[0])
+        cfg = NestedConfig(n_live=50, stopping=StoppingPolicy(
+            delta_evidence_tol=0.05, max_iterations=50))
+        est = run_nested(problem, cfg, seed=0)
+        assert est.termination_reason == TerminationReason.max_iterations
+        assert len(est.trace) <= 51
+        cfg = NestedConfig(n_live=50, stopping=StoppingPolicy(
+            delta_evidence_tol=0.05, max_iterations=10**6, max_evals=500))
+        est = run_nested(problem, cfg, seed=0)
+        assert est.termination_reason == TerminationReason.max_evals
+        assert est.total_evals <= 500 + NESTED_WALK_STEPS
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

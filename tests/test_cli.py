@@ -90,11 +90,24 @@ class TestLoadConfig:
             load_config(path)
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
-        path = _write(tmp_path / "a.ini", "[mc]\nn = 10\n")
-        code = main(["run", "--config", path,
-                     "--out-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        cases = [
+            ("[mc]\nn = 10\n", "a.ini:1: missing"),
+            # a misspelled key in a section that is read
+            (MCMC_CONFIG + "\n[level]\nf_inti = 0.1\n",
+             "a.ini:16: unknown key 'f_inti'"),
+            (MC_CONFIG + "n_samples = 10\n", "a.ini:9: unknown key"),
+            (MC_CONFIG + "\n[stopping]\nmax_eval = 10\n",
+             "a.ini:11: unknown key"),
+            # max_escalations is read, so a bad value is reported
+            (MCMC_CONFIG + "\n[level]\nmax_escalations = many\n",
+             "a.ini:16: bad value for 'max_escalations'"),
+        ]
+        for text, message in cases:
+            path = _write(tmp_path / "a.ini", text)
+            code = main(["run", "--config", path,
+                         "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestReplicationSeed:
@@ -245,6 +258,7 @@ class TestConvergence:
 
     def test_negative_budget_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
-        assert main(["convergence", "--config", cfg,
-                     "--out-dir", str(tmp_path / "c"),
-                     "--budgets", "100,-5"]) == 2
+        for extra in (["--budgets", "100,-5"],
+                      ["--budgets", "100", "--replications-override", "0"]):
+            assert main(["convergence", "--config", cfg,
+                         "--out-dir", str(tmp_path / "c")] + extra) == 2

@@ -8,8 +8,8 @@ import pytest
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
                             DegenerateWeightsError, EmptyTraceError,
                             LevelTrace, effective_sample_size, evidence_update,
-                            exceeds_level, finalize_estimate, log_sum_exp,
-                            normal_prior, posterior_moments, shell_statistics,
+                            finalize_estimate, log_sum_exp, normal_prior,
+                            posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
 
 
@@ -40,17 +40,6 @@ class TestLogSumExp:
         rng = np.random.default_rng(0)
         xs = rng.normal(size=50)
         assert log_sum_exp(xs) == pytest.approx(np.log(np.exp(xs).sum()))
-
-
-class TestExceedsLevel:
-    def test_strict_inequality(self):
-        assert exceeds_level(1.0, 0.5)
-        assert not exceeds_level(0.5, 0.5)
-        assert not exceeds_level(0.4, 0.5)
-
-    def test_vectorized(self):
-        out = exceeds_level(np.array([0.0, 1.0, 2.0]), 1.0)
-        assert list(out) == [False, False, True]
 
 
 class TestEffectiveSampleSize:

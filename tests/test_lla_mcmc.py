@@ -122,17 +122,18 @@ class TestReplenish:
         passing = np.array([[0.8], [0.9]])
         log_L = np.array([problem.log_likelihood(t) for t in passing])
         lam = math.log(2.0 * 0.7)
-        s, ll = replenish(passing, log_L, 5, lam, np.array([0.1]), False, 3,
-                          problem, problem.log_likelihood, (0, 1))
+        s, ll = replenish(passing, log_L, lam, np.array([0.1]), False, 3,
+                          problem, problem.log_likelihood,
+                          [(0, 1, chain) for chain in range(5)])
         assert s.shape == (5, 1)
         assert np.all(ll > lam)
 
     def test_empty_survivors_raise(self):
         problem = _uniform_problem()
         with pytest.raises(LevelUnreachableError):
-            replenish(np.empty((0, 1)), np.empty(0), 1, 0.0,
+            replenish(np.empty((0, 1)), np.empty(0), 0.0,
                       np.array([0.1]), False, 1, problem,
-                      problem.log_likelihood, (0, 1))
+                      problem.log_likelihood, [(0, 1, 0)])
 
 
 class TestRunLLAMCMC:

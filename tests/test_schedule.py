@@ -1,11 +1,15 @@
-"""Unit tests for level selection and the stopping criteria."""
+"""Unit tests for level selection, the stopping criteria and the loop."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from levidence.core import NEG_INF, LevelTrace, TerminationReason
+from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
+                            TerminationReason, uniform_prior)
 from levidence.schedule import (DegenerateLevelError, LevelPolicy,
-                                StoppingPolicy, select_level, should_stop)
+                                LevelStrategy, StoppingPolicy, StopRun,
+                                run_levels, select_level, should_stop)
 
 
 class TestLevelPolicy:
@@ -140,3 +144,45 @@ class TestShouldStop:
             StoppingPolicy(chi_tol=0.0)
         with pytest.raises(ValueError):
             StoppingPolicy(max_evals=0)
+
+
+class _Halving(LevelStrategy):
+    """Level i at log-likelihood i/1000, chi halving, a fixed log bound."""
+
+    def __init__(self, stopping, log_bound=NEG_INF, stop_after=None):
+        problem = BayesianProblem(1, [uniform_prior(0.0, 1.0)],
+                                  lambda t: 0.0)
+        super().__init__(problem, SimpleNamespace(stopping=stopping), 0)
+        self.log_bound, self.stop_after = log_bound, stop_after
+
+    def level(self, iteration, trace):
+        self.logL_fn(np.zeros(1))
+        return 1e-3 * iteration
+
+    def mass(self, iteration, log_lambda, trace):
+        return 0.5 ** iteration, np.zeros((1, 1)), None, self.log_bound
+
+    def advance(self, iteration, log_lambda, trace):
+        if iteration == self.stop_after:
+            raise StopRun(TerminationReason.degenerate_level)
+
+
+class TestRunLevels:
+    def test_running_evidence_and_counts(self):
+        est = run_levels(_Halving(StoppingPolicy(max_iterations=5)))
+        assert est.termination_reason == TerminationReason.max_iterations
+        assert est.trace.n_evals == [1, 2, 3, 4, 5]
+        expect = np.log(sum(np.exp(1e-3 * i) * 0.5 ** i for i in range(1, 6)))
+        assert est.log_evidence == pytest.approx(expect, rel=1e-12)
+
+    def test_bound_postpones_only_delta_evidence(self):
+        loose = StoppingPolicy(delta_evidence_tol=0.9, max_iterations=6)
+        assert len(run_levels(_Halving(loose)).trace) < 6
+        est = run_levels(_Halving(loose, log_bound=100.0))
+        assert est.termination_reason == TerminationReason.max_iterations
+        assert len(est.trace) == 6
+
+    def test_step_stops_run(self):
+        est = run_levels(_Halving(StoppingPolicy(), stop_after=3))
+        assert est.termination_reason == TerminationReason.degenerate_level
+        assert len(est.trace) == 3
