@@ -83,10 +83,6 @@ def _key_line(path, section, key=None):
     return 1
 
 
-def _parse_bool(raw):
-    return {"true": True, "false": False}[raw.strip().lower()]
-
-
 def _parse_int_list(raw):
     return [int(t) for t in raw.split(",") if t.strip()]
 
@@ -94,9 +90,7 @@ def _parse_int_list(raw):
 # INI value parsers by config-dataclass field annotation; fields of any other
 # type (the nested policies and kernel) are not INI keys
 _PARSERS = {"int": int, "float": float, "float | None": float,
-            "bool | None": _parse_bool, "tuple": _parse_int_list,
-            # one proposal scale, applied to every coordinate
-            "np.ndarray | None": float}
+            "tuple": _parse_int_list}
 
 EXPERIMENT_KEYS = {"benchmark": str, "estimator": str, "seed": int,
                    "replications": int}
@@ -162,10 +156,14 @@ def load_config(path):
     if cfg["replications"] < 1:
         raise ConfigError(path, _key_line(path, "experiment", "replications"),
                           "replications must be >= 1")
-    if not 0 <= cfg["seed"] < 2**64:
-        raise ConfigError(path, _key_line(path, "experiment", "seed"),
-                          "seed must be a 64-bit nonnegative integer")
+    _check_seed(cfg["seed"], path, _key_line(path, "experiment", "seed"))
     return cfg
+
+
+def _check_seed(seed, path, line):
+    if not 0 <= seed < 2**64:
+        raise ConfigError(path, line,
+                          "seed must be a 64-bit nonnegative integer")
 
 
 def _build(cfg, name, cls, values, **given):
@@ -206,9 +204,6 @@ def _estimator_runner(cfg, problem, stopping):
     values = _section(cfg, name, _keys(MCMCConfig, KernelConfig))
     kernel_values = {k: values.pop(k) for k in _keys(KernelConfig)
                      if k in values}
-    if "proposal_stddev" in kernel_values:
-        kernel_values["proposal_stddev"] = np.full(
-            dim, kernel_values["proposal_stddev"])
     kernel = _build(cfg, name, KernelConfig, kernel_values)
     # without a [level] section the schedule follows n_replace / n_samples
     has_level = cfg["parser"].has_section("level")
@@ -313,14 +308,20 @@ def read_record(path):
 
 
 def _load_with_overrides(args):
-    """The config file with the command line's seed/replication overrides."""
+    """The config file with the command line's seed/replication overrides.
+
+    The overrides are checked as the file's values are; so is --workers.
+    """
     cfg = load_config(args.config)
     if args.seed_override is not None:
+        _check_seed(args.seed_override, "<args>", 1)
         cfg["seed"] = args.seed_override
     if args.replications_override is not None:
         if args.replications_override < 1:
             raise ConfigError(args.config, 1, "replications must be >= 1")
         cfg["replications"] = args.replications_override
+    if args.workers < 1:
+        raise ConfigError("<args>", 1, "workers must be >= 1")
     return cfg
 
 
@@ -447,12 +448,16 @@ def build_parser():
         description="Evidence estimation over likelihood levels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a configured experiment")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out-dir", required=True)
-    run_p.add_argument("--seed-override", type=int, default=None)
-    run_p.add_argument("--replications-override", type=int, default=None)
-    run_p.add_argument("--workers", type=int, default=1)
+    # the arguments of the two verbs that run a config file
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--out-dir", required=True)
+    configured.add_argument("--seed-override", type=int, default=None)
+    configured.add_argument("--replications-override", type=int, default=None)
+    configured.add_argument("--workers", type=int, default=1)
+
+    run_p = sub.add_parser("run", parents=[configured],
+                           help="run a configured experiment")
     run_p.set_defaults(func=cmd_run)
 
     sel_p = sub.add_parser("select", help="posterior model probabilities")
@@ -462,15 +467,10 @@ def build_parser():
     sel_p.add_argument("--out-dir", default=None)
     sel_p.set_defaults(func=cmd_select)
 
-    conv_p = sub.add_parser("convergence",
+    conv_p = sub.add_parser("convergence", parents=[configured],
                             help="error versus evaluation budget")
-    conv_p.add_argument("--config", required=True)
-    conv_p.add_argument("--out-dir", required=True)
     conv_p.add_argument("--budgets", required=True,
                         help="comma-separated evaluation budgets")
-    conv_p.add_argument("--seed-override", type=int, default=None)
-    conv_p.add_argument("--replications-override", type=int, default=None)
-    conv_p.add_argument("--workers", type=int, default=1)
     conv_p.set_defaults(func=cmd_convergence)
     return parser
 

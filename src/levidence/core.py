@@ -90,14 +90,13 @@ def evidence_update(log_E_prev, log_lambda, chi_prev, chi_cur):
 class MarginalPrior:
     """One independent 1-D prior marginal.
 
-    log_pdf, sample and inverse_cdf must agree; support is a (lo, hi) pair
-    (entries may be infinite).  mean/std are used for proposal scaling and
-    quadrature bounds.
+    log_pdf and inverse_cdf act elementwise on a float or an array and must
+    agree; support is a (lo, hi) pair (entries may be infinite).  mean/std
+    are used for proposal scaling and quadrature bounds.
     """
 
-    log_pdf: Callable[[float], float]
-    sample: Callable[[np.random.Generator], float]
-    inverse_cdf: Callable[[float], float]
+    log_pdf: Callable
+    inverse_cdf: Callable
     support: tuple
     mean: float = 0.0
     std: float = 1.0
@@ -130,7 +129,6 @@ def normal_prior(mean, std):
 
     return MarginalPrior(
         log_pdf=log_pdf,
-        sample=lambda rng: mean + std * float(special.ndtri(open_uniform(rng))),
         inverse_cdf=inverse_cdf,
         support=(-math.inf, math.inf),
         mean=mean,
@@ -145,11 +143,13 @@ def uniform_prior(lo, hi):
     log_density = -math.log(hi - lo)
 
     def log_pdf(x):
+        if isinstance(x, np.ndarray):
+            return np.where((lo <= x) & (x <= hi), log_density, NEG_INF)
+        # the samplers' scalar calls skip np.where's overhead
         return log_density if lo <= x <= hi else NEG_INF
 
     return MarginalPrior(
         log_pdf=log_pdf,
-        sample=lambda rng: lo + (hi - lo) * rng.uniform(),
         inverse_cdf=lambda u: lo + (hi - lo) * u,
         support=(lo, hi),
         mean=0.5 * (lo + hi),
@@ -162,7 +162,6 @@ def truncated_normal_prior(mean, std, lo, hi):
     d = stats.truncnorm(a, b, loc=mean, scale=std)
     return MarginalPrior(
         log_pdf=d.logpdf,
-        sample=lambda rng: float(d.ppf(open_uniform(rng))),
         inverse_cdf=d.ppf,
         support=(float(lo), float(hi)),
         mean=float(d.mean()),
@@ -183,14 +182,18 @@ class BayesianProblem:
             raise ValueError("prior count does not match dimension")
 
     def log_prior(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return float(sum(p.log_pdf(x) for p, x in zip(self.priors, theta)))
+        """Log prior density of one vector, or of each row of an (n, d) array."""
+        # a plain loop, not sum() over a generator: on one vector it is the
+        # faster form, and full-vector MH steps call this twice per step
+        total = 0.0
+        for p, x in zip(self.priors, np.asarray(theta, dtype=float).T):
+            total += p.log_pdf(x)
+        return total
 
     def sample_prior(self, rng, n=1):
         out = np.empty((n, self.dimension))
         for k, p in enumerate(self.priors):
-            u = open_uniform(rng, n)
-            out[:, k] = [p.inverse_cdf(ui) for ui in u]
+            out[:, k] = p.inverse_cdf(open_uniform(rng, n))
         return out
 
     @property

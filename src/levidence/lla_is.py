@@ -58,7 +58,9 @@ class GaussianISD:
         return out
 
     def log_pdf(self, theta):
-        return float(sum(d.logpdf(x) for d, x in zip(self._dists, theta)))
+        """Log density of one vector, or of each row of an (n, d) array."""
+        theta = np.asarray(theta, dtype=float)
+        return sum(d.logpdf(x) for d, x in zip(self._dists, theta.T))
 
 
 @dataclass
@@ -125,8 +127,7 @@ class _ISLevels(LevelStrategy):
             log_w = np.zeros(n)
         else:
             samples = self.isd.sample(self.rng, n)
-            log_w = np.array([self.problem.log_prior(s) - self.isd.log_pdf(s)
-                              for s in samples])
+            log_w = self.problem.log_prior(samples) - self.isd.log_pdf(samples)
         return samples, log_w, np.array([self.logL_fn(s) for s in samples])
 
     def level(self, iteration, trace):

@@ -34,26 +34,17 @@ class LevelUnreachableError(StopRun):
 
 @dataclass
 class KernelConfig:
-    proposal_stddev: np.ndarray | None = None  # default 0.25 * prior stddev
-    component_wise: bool | None = None         # default: d > 10
     steps_per_sample: int = 5
 
     def __post_init__(self):
         if self.steps_per_sample < 1:
             raise ValueError("steps_per_sample must be >= 1")
-        if self.proposal_stddev is not None:
-            self.proposal_stddev = np.asarray(self.proposal_stddev, dtype=float)
-            if np.any(self.proposal_stddev <= 0):
-                raise ValueError("proposal stddev entries must be positive")
 
     def resolve(self, problem):
-        stddev = self.proposal_stddev
-        if stddev is None:
-            stddev = 0.25 * np.array([p.std for p in problem.priors])
-        component_wise = self.component_wise
-        if component_wise is None:
-            component_wise = problem.dimension > COMPONENT_WISE_DIMENSION
-        return stddev, component_wise
+        """Proposal stddev, a quarter of each prior stddev, and whether to
+        sweep coordinate by coordinate (above COMPONENT_WISE_DIMENSION)."""
+        return (0.25 * np.array([p.std for p in problem.priors]),
+                problem.dimension > COMPONENT_WISE_DIMENSION)
 
 
 @dataclass

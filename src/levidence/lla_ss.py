@@ -1,9 +1,9 @@
 """Level-adapted stratified sampling estimator.
 
 The prior is cut into equal-mass strata through the inverse marginal CDFs.
-Samples accumulate in per-stratum pools across iterations; strata whose
-pooled samples all fall below the current level are retired and never
-sampled again.
+Samples accumulate across iterations in one pool, each row tagged with the
+stratum it was drawn in; strata whose pooled samples all fall below the
+current level are retired and never sampled again.
 """
 
 from __future__ import annotations
@@ -33,20 +33,18 @@ class StratificationError(ValueError):
 
 @dataclass
 class StrataGrid:
-    """Tensor grid of equal-mass prior strata with cumulative sample pools."""
+    """Tensor grid of equal-mass prior strata with one cumulative sample pool.
+
+    Row j of samples and log_L was drawn in stratum strata[owner[j]].
+    """
 
     per_dim_counts: tuple
     strata: list                 # multi-indices, 1-based per dimension
     mass: float                  # identical for every stratum
-    pools: dict                  # index -> dict(samples=[...], log_L=[...])
-    active: list                 # subset of strata, in index order
-
-    def pool_size(self, stratum):
-        return len(self.pools[stratum]["log_L"])
-
-    def pool_max_log_L(self, stratum):
-        ls = self.pools[stratum]["log_L"]
-        return max(ls) if ls else NEG_INF
+    samples: np.ndarray          # (n, d)
+    log_L: np.ndarray            # (n,)
+    owner: np.ndarray            # (n,) positions in strata
+    active: np.ndarray           # bool per stratum
 
 
 @dataclass
@@ -73,9 +71,10 @@ def build_strata(problem, per_dim_counts):
     if total > MAX_STRATA:
         raise StratificationError("stratification infeasible in this dimension")
     strata = list(itertools.product(*(range(1, c + 1) for c in counts)))
-    pools = {s: {"samples": [], "log_L": []} for s in strata}
     return StrataGrid(per_dim_counts=counts, strata=strata, mass=1.0 / total,
-                      pools=pools, active=list(strata))
+                      samples=np.empty((0, len(counts))), log_L=np.empty(0),
+                      owner=np.empty(0, dtype=int),
+                      active=np.ones(total, dtype=bool))
 
 
 def sample_stratum(problem, per_dim_counts, stratum, n, rng):
@@ -89,73 +88,73 @@ def sample_stratum(problem, per_dim_counts, stratum, n, rng):
         # u on the half-open cell (lo, hi], clear of infinite quantiles
         u = np.clip(lo + (hi - lo) * (1.0 - rng.uniform(size=n)),
                     1e-16, 1.0 - 1e-16)
-        out[:, k] = [prior.inverse_cdf(ui) for ui in u]
+        out[:, k] = prior.inverse_cdf(u)
     return out
+
+
+def _active_counts(grid, log_lambda):
+    """Pool sizes and exceedance counts of the active strata, in order."""
+    n_strata = len(grid.strata)
+    sizes = np.bincount(grid.owner, minlength=n_strata)[grid.active]
+    if np.any(sizes == 0):
+        raise StratificationError("stratum never sampled")
+    exceed = np.bincount(grid.owner[grid.log_L > log_lambda],
+                         minlength=n_strata)[grid.active]
+    return sizes, exceed
 
 
 def chi_ss(grid, log_lambda):
     """Mass-weighted pooled exceedance fraction over the active strata."""
-    total = 0.0
-    for s in grid.active:
-        pool = grid.pools[s]["log_L"]
-        if not pool:
-            raise StratificationError("stratum never sampled")
-        exceed = sum(1 for l in pool if l > log_lambda)
-        total += grid.mass * exceed / len(pool)
-    return total
+    sizes, exceed = _active_counts(grid, log_lambda)
+    # summed left to right in stratum order, not pairwise as np.sum would,
+    # so the estimate does not depend on how the terms are grouped
+    return sum((grid.mass * exceed / sizes).tolist())
 
 
 def var_chi_ss(grid, log_lambda, chi_hat):
     """Plug-in variance of the stratified mass estimate (diagnostic)."""
-    n_cum = sum(grid.pool_size(s) for s in grid.active)
+    sizes, exceed = _active_counts(grid, log_lambda)
+    n_cum = int(sizes.sum())
     if n_cum == 0:
         return 0.0
-    between = 0.0
-    for s in grid.active:
-        pool = grid.pools[s]["log_L"]
-        frac = sum(1 for l in pool if l > log_lambda) / len(pool)
-        between += grid.mass * (frac - chi_hat) ** 2
+    between = sum((grid.mass * (exceed / sizes - chi_hat) ** 2).tolist())
     pooled_binomial = chi_hat * (1.0 - chi_hat)
     return max(pooled_binomial - between, 0.0) / n_cum
 
 
-def _allocate(n_total, n_strata):
-    """Even split of the per-iteration budget; remainder to the first strata."""
-    base, rem = divmod(n_total, n_strata)
-    return [base + (1 if i < rem else 0) for i in range(n_strata)]
-
-
 class _SSLevels(LevelStrategy):
-    """Tops up every active stratum's pool each iteration."""
+    """Tops up every active stratum's share of the pool each iteration."""
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
         self.grid = build_strata(problem, config.per_dim_counts)
-        self.stratum_ids = {s: i for i, s in enumerate(self.grid.strata)}
 
     def level(self, iteration, trace):
         grid = self.grid
-        counts = _allocate(max(self.config.n_per_iteration, len(grid.active)),
-                           len(grid.active))
-        for s, n_s in zip(grid.active, counts):
-            if n_s == 0:
-                continue
+        active = np.flatnonzero(grid.active).tolist()
+        # an even split of the budget, the remainder to the first strata;
+        # every active stratum gets at least one sample
+        base, rem = divmod(max(self.config.n_per_iteration, len(active)),
+                           len(active))
+        sizes = [base + (i < rem) for i in range(len(active))]
+        new = []
+        for pos, n_s in zip(active, sizes):
             rng = np.random.default_rng(np.random.SeedSequence(
-                [self.seed, iteration, self.stratum_ids[s]]))
-            new = sample_stratum(self.problem, grid.per_dim_counts, s, n_s,
-                                 rng)
-            pool = grid.pools[s]
-            for row in new:
-                pool["samples"].append(row)
-                pool["log_L"].append(self.logL_fn(row))
+                [self.seed, iteration, pos]))
+            new.append(sample_stratum(self.problem, grid.per_dim_counts,
+                                      grid.strata[pos], n_s, rng))
+        new = np.vstack(new)
+        grid.samples = np.vstack([grid.samples, new])
+        grid.log_L = np.concatenate(
+            [grid.log_L, [self.logL_fn(row) for row in new]])
+        grid.owner = np.concatenate([grid.owner, np.repeat(active, sizes)])
 
         # the level looks at every likelihood value ever drawn (retired
         # strata included) so the order statistic stays continuous when a
         # stratum is retired; mass estimation still uses active strata only
-        pooled = np.sort(np.concatenate(
-            [grid.pools[s]["log_L"] for s in grid.strata]))
-        log_lambda, _ = select_level(pooled, self.config.level_policy,
-                                     iteration, trace.log_lambda_current)
+        log_lambda, _ = select_level(np.sort(grid.log_L),
+                                     self.config.level_policy, iteration,
+                                     trace.log_lambda_current)
         return log_lambda
 
     def mass(self, iteration, log_lambda, trace):
@@ -164,31 +163,32 @@ class _SSLevels(LevelStrategy):
         chi = min(chi_ss(grid, log_lambda), trace.chi_current)
         trace.var_chi.append(var_chi_ss(grid, log_lambda, chi))
 
-        shell_samples, shell_weights = [], []
-        lam_prev = trace.log_lambda_current
-        for s in grid.active:
-            pool = grid.pools[s]
-            per_sample_w = grid.mass / len(pool["log_L"])
-            for row, l in zip(pool["samples"], pool["log_L"]):
-                if lam_prev < l <= log_lambda:
-                    shell_samples.append(row)
-                    shell_weights.append(per_sample_w)
-        return chi, np.asarray(shell_samples), shell_weights or None, NEG_INF
+        # shell rows in stratum-major order, each weighted by its stratum's
+        # mass over its pool size
+        sizes = np.bincount(grid.owner, minlength=len(grid.strata))
+        rows = np.argsort(grid.owner, kind="stable")
+        log_L = grid.log_L[rows]
+        rows = rows[grid.active[grid.owner[rows]]
+                    & (trace.log_lambda_current < log_L)
+                    & (log_L <= log_lambda)]
+        return (chi, grid.samples[rows], grid.mass / sizes[grid.owner[rows]],
+                NEG_INF)
 
     def advance(self, iteration, log_lambda, trace):
         grid = self.grid
-        survivors = []
-        for s in grid.active:
-            top = grid.pool_max_log_L(s)
-            if top > log_lambda:
-                survivors.append(s)
-            elif top > log_lambda - NEAR_MISS_LOG_MARGIN:
-                warnings.warn(
-                    "stratum %s deactivated with top log-likelihood within "
-                    "1 log-unit of the level" % (s,), RuntimeWarning)
+        top = np.full(len(grid.strata), NEG_INF)
+        np.maximum.at(top, grid.owner, grid.log_L)
+        survivors = grid.active & (top > log_lambda)
+        near_miss = grid.active & ~survivors & (
+            top > log_lambda - NEAR_MISS_LOG_MARGIN)
+        for pos in np.flatnonzero(near_miss):
+            warnings.warn(
+                "stratum %s deactivated with top log-likelihood within "
+                "1 log-unit of the level" % (grid.strata[pos],),
+                RuntimeWarning)
         grid.active = survivors
-        trace.active_counts.append(len(survivors))
-        if not grid.active:
+        trace.active_counts.append(int(survivors.sum()))
+        if not survivors.any():
             raise StopRun(TerminationReason.chi_floor)
 
 

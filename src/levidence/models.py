@@ -115,17 +115,15 @@ def _grid_once(problem, oracle, n_nodes):
     axes = [_axis(p, oracle, n_nodes) for p in problem.priors]
     if problem.dimension == 1:
         xs = axes[0]
-        log_f = np.array([
-            problem.log_likelihood(np.array([x])) + problem.priors[0].log_pdf(x)
-            for x in xs
-        ])
+        log_f = (np.array([problem.log_likelihood(np.array([x])) for x in xs])
+                 + problem.priors[0].log_pdf(xs))
         h = xs[1] - xs[0]
         log_w = np.full(n_nodes, math.log(h))
         log_w[0] = log_w[-1] = math.log(h / 2.0)
         return log_sum_exp(log_f + log_w)
     xs, ys = axes
-    log_px = np.array([problem.priors[0].log_pdf(x) for x in xs])
-    log_py = np.array([problem.priors[1].log_pdf(y) for y in ys])
+    log_px = problem.priors[0].log_pdf(xs)
+    log_py = problem.priors[1].log_pdf(ys)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     wx = np.full(n_nodes, hx)
     wx[0] = wx[-1] = hx / 2.0

@@ -91,21 +91,25 @@ class TestLoadConfig:
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         cases = [
-            ("[mc]\nn = 10\n", "a.ini:1: missing"),
+            ("[mc]\nn = 10\n", [], "a.ini:1: missing"),
             # a misspelled key in a section that is read
-            (MCMC_CONFIG + "\n[level]\nf_inti = 0.1\n",
+            (MCMC_CONFIG + "\n[level]\nf_inti = 0.1\n", [],
              "a.ini:16: unknown key 'f_inti'"),
-            (MC_CONFIG + "n_samples = 10\n", "a.ini:9: unknown key"),
-            (MC_CONFIG + "\n[stopping]\nmax_eval = 10\n",
+            (MC_CONFIG + "n_samples = 10\n", [], "a.ini:9: unknown key"),
+            (MC_CONFIG + "\n[stopping]\nmax_eval = 10\n", [],
              "a.ini:11: unknown key"),
             # max_escalations is read, so a bad value is reported
-            (MCMC_CONFIG + "\n[level]\nmax_escalations = many\n",
+            (MCMC_CONFIG + "\n[level]\nmax_escalations = many\n", [],
              "a.ini:16: bad value for 'max_escalations'"),
+            # command-line overrides are checked as the file's values are
+            (MC_CONFIG, ["--seed-override", "-1"], "seed must be"),
+            (MC_CONFIG, ["--workers", "0"], "workers must be >= 1"),
+            (MC_CONFIG, ["--workers", "-3"], "workers must be >= 1"),
         ]
-        for text, message in cases:
+        for text, extra, message in cases:
             path = _write(tmp_path / "a.ini", text)
             code = main(["run", "--config", path,
-                         "--out-dir", str(tmp_path / "out")])
+                         "--out-dir", str(tmp_path / "out")] + extra)
             assert code == 2
             assert message in capsys.readouterr().err
 
@@ -259,6 +263,9 @@ class TestConvergence:
     def test_negative_budget_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
         for extra in (["--budgets", "100,-5"],
-                      ["--budgets", "100", "--replications-override", "0"]):
+                      ["--budgets", "100", "--replications-override", "0"],
+                      ["--budgets", "100",
+                       "--seed-override", str(2**64)],
+                      ["--budgets", "100", "--workers", "0"]):
             assert main(["convergence", "--config", cfg,
                          "--out-dir", str(tmp_path / "c")] + extra) == 2

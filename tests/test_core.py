@@ -131,11 +131,19 @@ class TestPriors:
         assert p.inverse_cdf(0.25) == pytest.approx(3.0)
 
     def test_sample_moments(self):
-        p = normal_prior(1.0, 0.5)
-        rng = np.random.default_rng(5)
-        xs = np.array([p.sample(rng) for _ in range(20000)])
+        problem = BayesianProblem(dimension=1, priors=[normal_prior(1.0, 0.5)],
+                                  log_likelihood=lambda t: 0.0)
+        xs = problem.sample_prior(np.random.default_rng(5), 20000)[:, 0]
         assert xs.mean() == pytest.approx(1.0, abs=0.02)
         assert xs.std() == pytest.approx(0.5, abs=0.02)
+
+    def test_array_calls_match_elementwise(self):
+        xs = np.linspace(-2.5, 2.5, 11)  # outside every bounded support too
+        us = np.linspace(0.01, 0.99, 11)
+        for p in (normal_prior(0.5, 2.0), uniform_prior(-1.0, 1.5),
+                  truncated_normal_prior(0.0, 1.0, -1.0, 2.0)):
+            assert np.all(p.log_pdf(xs) == [p.log_pdf(x) for x in xs])
+            assert np.all(p.inverse_cdf(us) == [p.inverse_cdf(u) for u in us])
 
 
 class TestBayesianProblem:
@@ -156,6 +164,11 @@ class TestBayesianProblem:
         theta = np.array([0.3, 0.4])
         expect = p.priors[0].log_pdf(0.3) + p.priors[1].log_pdf(0.4)
         assert p.log_prior(theta) == pytest.approx(expect)
+
+    def test_log_prior_rows_match_vectors(self):
+        p = self._problem()
+        X = np.array([[0.3, 0.4], [-1.0, 1.5], [2.0, 0.0], [0.1, -0.2]])
+        assert np.all(p.log_prior(X) == [p.log_prior(x) for x in X])
 
     def test_sample_prior_shape_and_support(self):
         p = self._problem()

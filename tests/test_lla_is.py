@@ -39,6 +39,13 @@ class TestGaussianISD:
         assert isd.log_pdf(np.array([0.0])) == pytest.approx(
             -0.5 * math.log(2 * math.pi))
 
+    def test_log_pdf_rows_match_vectors(self):
+        isd = GaussianISD(mean=np.array([0.2, 0.5]),
+                          stddev=np.array([1.0, 0.3]),
+                          support=[(-np.inf, np.inf), (0.0, 1.0)])
+        X = isd.sample(np.random.default_rng(4), 50)
+        assert np.all(isd.log_pdf(X) == [isd.log_pdf(x) for x in X])
+
 
 class TestFitISD:
     def test_mean_and_inflated_stddev(self):

@@ -60,8 +60,6 @@ class TestKernelConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             KernelConfig(steps_per_sample=0)
-        with pytest.raises(ValueError):
-            KernelConfig(proposal_stddev=np.array([0.0]))
 
 
 class TestConstrainedMHStep:

@@ -30,7 +30,7 @@ class TestBuildStrata:
         grid = build_strata(problem, (5, 5, 5))
         assert len(grid.strata) == 125
         assert grid.mass == pytest.approx(1.0 / 125)
-        assert grid.active == grid.strata
+        assert grid.active.shape == (125,) and grid.active.all()
         assert len(grid.strata) * grid.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_single_stratum(self):
@@ -95,9 +95,10 @@ class TestChiSS:
             dimension=1, priors=[uniform_prior(0, 1)],
             log_likelihood=lambda t: 0.0)
         grid = build_strata(problem, (len(pools),))
-        for s, lls in zip(grid.strata, pools):
-            grid.pools[s]["log_L"] = list(lls)
-            grid.pools[s]["samples"] = [np.zeros(1)] * len(lls)
+        grid.log_L = np.concatenate([np.asarray(lls, dtype=float)
+                                     for lls in pools])
+        grid.owner = np.repeat(np.arange(len(pools)), [len(l) for l in pools])
+        grid.samples = np.zeros((len(grid.log_L), 1))
         return grid
 
     def test_all_above(self):
@@ -174,9 +175,9 @@ class TestRunLLASS:
             grid = build_strata(problem, (1,))
             s = sample_stratum(problem, (1,), (1,), 200,
                                np.random.default_rng(seed))
-            grid.pools[(1,)]["samples"] = list(s)
-            grid.pools[(1,)]["log_L"] = [problem.log_likelihood(t)
-                                         for t in s]
+            grid.samples = s
+            grid.log_L = np.array([problem.log_likelihood(t) for t in s])
+            grid.owner = np.zeros(len(s), dtype=int)
             ss_vals.append(chi_ss(grid, lam))
             draws = np.random.default_rng(1000 + seed).uniform(size=200)
             mc_vals.append(np.mean(np.log(2.0 * draws) > lam))
