@@ -9,8 +9,9 @@ Config files are INI-style: an [experiment] section plus optional sections
 named after the estimator and the shared [stopping] and [level] policies.
 Keys in those sections are the field names of the matching config
 dataclasses; an unknown key is an error.
-All randomness flows from the configured seed, so outputs are byte
-identical for a given (config, seed) regardless of worker count.
+All randomness flows from the configured seed, and replications run in
+seed order in this process, so outputs are byte identical for a given
+(config, seed).  --workers is accepted and range-checked only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +83,22 @@ def _key_line(path, section, key=None):
     return 1
 
 
-def _parse_int_list(raw):
-    return [int(t) for t in raw.split(",") if t.strip()]
+def _parse_list(raw, parse=int):
+    return [parse(t) for t in raw.split(",") if t.strip()]
+
+
+def _args_list(raw, parse, option):
+    """A comma-separated command-line list; a bad item exits 2 at <args>."""
+    try:
+        return _parse_list(raw, parse)
+    except ValueError:
+        raise ConfigError("<args>", 1, "bad value for %s: %r" % (option, raw))
 
 
 # INI value parsers by config-dataclass field annotation; fields of any other
 # type (the nested policies and kernel) are not INI keys
 _PARSERS = {"int": int, "float": float, "float | None": float,
-            "tuple": _parse_int_list}
+            "tuple": _parse_list}
 
 EXPERIMENT_KEYS = {"benchmark": str, "estimator": str, "seed": int,
                    "replications": int}
@@ -218,13 +226,9 @@ def replication_seed(base_seed, replication):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_replications(runner, base_seed, replications, workers):
+def _run_replications(runner, base_seed, replications):
     seeds = [replication_seed(base_seed, r) for r in range(replications)]
-    if workers <= 1 or replications == 1:
-        return seeds, [runner(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(runner, seeds))
-    return seeds, results
+    return seeds, [runner(s) for s in seeds]
 
 
 def _write_trace(path, trace):
@@ -254,8 +258,7 @@ def _cov_percent(values):
     return float(values.std(ddof=1) / abs(values.mean()) * 100.0)
 
 
-def _write_summary(path, seeds, results, reference):
-    log_Es = [r.log_evidence for r in results]
+def _write_summary(path, seeds, results, reference, aggregate):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
@@ -265,18 +268,11 @@ def _write_summary(path, seeds, results, reference):
                 _fmt(_error_percent(res.log_evidence, reference)), "",
                 res.termination_reason.value, res.total_evals,
             ])
-        mean_log_E = float(np.mean(log_Es))
-        writer.writerow([
-            "aggregate", "", _fmt(mean_log_E), _fmt(reference),
-            _fmt(_error_percent(mean_log_E, reference)),
-            _fmt(_cov_percent(log_Es)), "",
-            sum(r.total_evals for r in results),
-        ])
+        writer.writerow(["aggregate", ""] + [
+            _fmt(aggregate.get(key, "")) for key in SUMMARY_HEADER[2:]])
 
 
-def _write_record(path, cfg, results, reference):
-    log_Es = [r.log_evidence for r in results]
-    mean_log_E = float(np.mean(log_Es))
+def _write_record(path, cfg, results, aggregate):
     mean_post = np.mean([r.posterior_mean for r in results], axis=0)
     mean_var = np.mean([r.posterior_variance for r in results], axis=0)
     lines = [
@@ -284,11 +280,7 @@ def _write_record(path, cfg, results, reference):
         "estimator = %s" % cfg["estimator"],
         "seed = %d" % cfg["seed"],
         "replications = %d" % cfg["replications"],
-        "log_evidence = %s" % _fmt(mean_log_E),
-        "reference_log_evidence = %s" % _fmt(float(reference)),
-        "error_percent = %s" % _fmt(_error_percent(mean_log_E, reference)),
-        "cov_percent = %s" % _fmt(_cov_percent(log_Es)),
-        "total_evals = %d" % sum(r.total_evals for r in results),
+    ] + ["%s = %s" % (key, _fmt(value)) for key, value in aggregate.items()] + [
         "termination_reasons = %s" % ",".join(
             r.termination_reason.value for r in results),
         "posterior_mean = %s" % ",".join(_fmt(float(v)) for v in mean_post),
@@ -310,7 +302,8 @@ def read_record(path):
 def _load_with_overrides(args):
     """The config file with the command line's seed/replication overrides.
 
-    The overrides are checked as the file's values are; so is --workers.
+    The overrides are checked as the file's values are, and reported at
+    <args>; so is --workers, which is accepted but changes nothing.
     """
     cfg = load_config(args.config)
     if args.seed_override is not None:
@@ -318,7 +311,7 @@ def _load_with_overrides(args):
         cfg["seed"] = args.seed_override
     if args.replications_override is not None:
         if args.replications_override < 1:
-            raise ConfigError(args.config, 1, "replications must be >= 1")
+            raise ConfigError("<args>", 1, "replications must be >= 1")
         cfg["replications"] = args.replications_override
     if args.workers < 1:
         raise ConfigError("<args>", 1, "workers must be >= 1")
@@ -336,21 +329,30 @@ def cmd_run(args):
 
     start = time.perf_counter()
     seeds, results = _run_replications(runner, cfg["seed"],
-                                       cfg["replications"], args.workers)
+                                       cfg["replications"])
     elapsed = time.perf_counter() - start
+
+    # one aggregate for summary.csv, record.txt and stdout, in record order
+    log_Es = [r.log_evidence for r in results]
+    mean_log_E = float(np.mean(log_Es))
+    aggregate = {"log_evidence": mean_log_E,
+                 "reference_log_evidence": float(reference),
+                 "error_percent": _error_percent(mean_log_E, reference),
+                 "cov_percent": _cov_percent(log_Es),
+                 "total_evals": sum(r.total_evals for r in results)}
 
     for r, res in enumerate(results):
         _write_trace(out_dir / ("trace_rep%03d.csv" % r), res.trace)
-    _write_summary(out_dir / "summary.csv", seeds, results, reference)
-    _write_record(out_dir / "record.txt", cfg, results, reference)
+    _write_summary(out_dir / "summary.csv", seeds, results, reference,
+                   aggregate)
+    _write_record(out_dir / "record.txt", cfg, results, aggregate)
 
-    mean_log_E = float(np.mean([r.log_evidence for r in results]))
     print("benchmark=%s estimator=%s replications=%d"
           % (cfg["benchmark"], cfg["estimator"], cfg["replications"]))
     print("log_evidence=%s reference=%s error_percent=%s cov_percent=%s"
-          % (_fmt(mean_log_E), _fmt(float(reference)),
-             _fmt(_error_percent(mean_log_E, reference)),
-             _fmt(_cov_percent([r.log_evidence for r in results]))))
+          % tuple(_fmt(aggregate[key]) for key in (
+              "log_evidence", "reference_log_evidence", "error_percent",
+              "cov_percent")))
     # wall time goes to stdout only; output files stay seed-deterministic
     print("wall_time_seconds=%.3f" % elapsed)
     return 0
@@ -382,14 +384,17 @@ def cmd_select(args):
 
     priors = None
     if args.priors:
-        priors = [float(t) for t in args.priors.split(",") if t.strip()]
+        priors = _args_list(args.priors, float, "--priors")
         if len(priors) != len(records):
             raise ConfigError("<args>", 1,
                               "got %d priors for %d records"
                               % (len(priors), len(records)))
-    ms = ModelSet(names=[n for n, _ in records],
-                  log_evidences=[e for _, e in records],
-                  prior_probs=priors)
+    try:
+        ms = ModelSet(names=[n for n, _ in records],
+                      log_evidences=[e for _, e in records],
+                      prior_probs=priors)
+    except ValueError as exc:
+        raise ConfigError("<args>", 1, str(exc))
     probs = posterior_model_probabilities(ms)
 
     rows = [["model", "log_evidence", "prior_prob", "posterior_prob"]]
@@ -406,7 +411,7 @@ def cmd_select(args):
 
 
 def cmd_convergence(args):
-    budgets = [int(t) for t in args.budgets.split(",") if t.strip()]
+    budgets = _args_list(args.budgets, int, "--budgets")
     if not budgets:
         raise ConfigError("<args>", 1, "empty budget list")
     if any(b < 1 for b in budgets):
@@ -425,7 +430,7 @@ def cmd_convergence(args):
         stopping = dataclasses.replace(base_stopping, max_evals=budget)
         runner = _estimator_runner(cfg, problem, stopping)
         _, results = _run_replications(runner, cfg["seed"],
-                                       cfg["replications"], args.workers)
+                                       cfg["replications"])
         errs = [_error_percent(r.log_evidence, reference) for r in results]
         rows.append([budget, _fmt(float(np.mean(errs))),
                      _fmt(_cov_percent([r.log_evidence for r in results]))])
@@ -454,7 +459,8 @@ def build_parser():
     configured.add_argument("--out-dir", required=True)
     configured.add_argument("--seed-override", type=int, default=None)
     configured.add_argument("--replications-override", type=int, default=None)
-    configured.add_argument("--workers", type=int, default=1)
+    configured.add_argument("--workers", type=int, default=1,
+                            help="accepted and checked; changes nothing")
 
     run_p = sub.add_parser("run", parents=[configured],
                            help="run a configured experiment")

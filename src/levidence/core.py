@@ -8,7 +8,6 @@ evidence update, and posterior-moment recovery from a level trace.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -62,28 +61,18 @@ def effective_sample_size(weights):
     return float(s * s / np.sum(w * w))
 
 
-def evidence_update(log_E_prev, log_lambda, chi_prev, chi_cur):
-    """One rectangle-rule quadrature step in log space.
+def evidence_update(log_lambda, chi_prev, chi_cur):
+    """log of one rectangle-rule increment, lambda * (chi_prev - chi_cur).
 
-    Returns (log_E_new, log_increment) with increment lambda*(chi_prev-chi_cur).
-    A noisy chi_cur exceeding chi_prev is clamped to chi_prev with a warning.
+    -inf for an empty shell, including a chi_cur above chi_prev; the running
+    sum is LevelTrace.add_level's.
     """
     if chi_prev > 1.0 + 1e-12:
         raise ValueError("chi_prev above 1")
-    if chi_cur > chi_prev:
-        warnings.warn(
-            "nonmonotone chi estimate clamped (chi_cur %.3g > chi_prev %.3g)"
-            % (chi_cur, chi_prev),
-            RuntimeWarning,
-        )
-        chi_cur = chi_prev
     d_chi = chi_prev - chi_cur
     if d_chi <= 0.0 or log_lambda == NEG_INF:
-        return log_E_prev, NEG_INF
-    log_increment = log_lambda + math.log(d_chi)
-    if log_E_prev == NEG_INF:
-        return log_increment, log_increment
-    return log_sum_exp([log_E_prev, log_increment]), log_increment
+        return NEG_INF
+    return log_lambda + math.log(d_chi)
 
 
 @dataclass

@@ -157,8 +157,7 @@ def run_levels(strategy):
                 iteration, log_lambda, trace)
             chi_prev = trace.chi_current
             chi = min(chi, chi_prev)
-            _, log_inc = evidence_update(trace.log_evidence, log_lambda,
-                                         chi_prev, chi)
+            log_inc = evidence_update(log_lambda, chi_prev, chi)
             trace.add_level(log_lambda, chi, log_inc,
                             *shell_statistics(shell, weights),
                             strategy.logL_fn.count)

@@ -38,7 +38,8 @@ class ModelSet:
         if not (len(self.names) == len(self.log_evidences)
                 == len(self.prior_probs)):
             raise ValueError("names, evidences and priors must align")
-        if any(p < 0 for p in self.prior_probs):
+        # written so that a NaN fails too; it would pass the sum check
+        if not all(p >= 0 for p in self.prior_probs):
             raise ValueError("prior probabilities must be nonnegative")
         if abs(sum(self.prior_probs) - 1.0) > 1e-12:
             raise ValueError("prior probabilities must sum to 1")

@@ -231,7 +231,9 @@ class TestSelect:
             _record(tmp_path / "a.txt", "polynomial_regression_d1", "0.0"),
             _record(tmp_path / "b.txt", "polynomial_regression_d2", "0.0"),
         ]
-        assert main(["select", *recs, "--priors", "0.5,0.3,0.2"]) == 2
+        for priors in ("0.5,0.3,0.2", "a,b", "0.3,0.3", "nan,nan"):
+            assert main(["select", *recs, "--priors", priors]) == 2
+            assert "error: <args>:1: " in capsys.readouterr().err
 
     def test_single_record_exit_2(self, tmp_path, capsys):
         rec = _record(tmp_path / "a.txt", "uniform_linear", "0.0")
@@ -263,9 +265,11 @@ class TestConvergence:
     def test_negative_budget_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
         for extra in (["--budgets", "100,-5"],
+                      ["--budgets", "100,abc"],
                       ["--budgets", "100", "--replications-override", "0"],
                       ["--budgets", "100",
                        "--seed-override", str(2**64)],
                       ["--budgets", "100", "--workers", "0"]):
             assert main(["convergence", "--config", cfg,
                          "--out-dir", str(tmp_path / "c")] + extra) == 2
+            assert "error: <args>:1: " in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Unit tests for the log-domain primitives and shared types."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,30 +76,21 @@ class TestEffectiveSampleSize:
 class TestEvidenceUpdate:
     def test_single_shell(self):
         # lambda = e^2, delta chi = 0.25 -> increment log = 2 + log(0.25)
-        log_E, inc = evidence_update(NEG_INF, 2.0, 0.5, 0.25)
+        inc = evidence_update(2.0, 0.5, 0.25)
         assert inc == pytest.approx(2.0 + math.log(0.25))
-        assert log_E == pytest.approx(inc)
-
-    def test_accumulates(self):
-        log_E, _ = evidence_update(NEG_INF, 0.0, 1.0, 0.5)
-        log_E, _ = evidence_update(log_E, 0.0, 0.5, 0.0)
-        # two shells of total mass 1 at lambda = 1
-        assert log_E == pytest.approx(0.0)
 
     def test_nonmonotone_chi_clamped(self):
-        with pytest.warns(RuntimeWarning):
-            log_E, inc = evidence_update(-1.0, 0.0, 0.3, 0.4)
-        assert log_E == -1.0
-        assert inc == NEG_INF
+        # a chi above chi_prev is an empty shell, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evidence_update(0.0, 0.3, 0.4) == NEG_INF
 
     def test_zero_width_shell(self):
-        log_E, inc = evidence_update(-1.0, 5.0, 0.3, 0.3)
-        assert log_E == -1.0
-        assert inc == NEG_INF
+        assert evidence_update(5.0, 0.3, 0.3) == NEG_INF
 
     def test_chi_prev_above_one_raises(self):
         with pytest.raises(ValueError):
-            evidence_update(NEG_INF, 0.0, 1.5, 0.5)
+            evidence_update(0.0, 1.5, 0.5)
 
 
 class TestPriors:
