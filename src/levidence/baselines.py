@@ -8,13 +8,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# evidence_update, should_stop and constrained_mh_step are called elsewhere;
-# perfbench/layers.py wraps them here, so they stay imported
+# evidence_update and should_stop are called elsewhere; perfbench/layers.py
+# wraps them here, so they stay imported
 from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
                    TerminationReason, evidence_update, finalize_estimate,
                    log_sum_exp, shell_statistics)
-from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
-                       replenish)
+from .lla_mcmc import KernelConfig, LevelUnreachableError
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
                        StopRun, run_levels, should_stop)
 
@@ -64,6 +63,56 @@ def run_mc(problem, n, seed):
     return replace(est, standard_error_log=se_log)
 
 
+def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
+                        component_wise, problem, logL_fn, rng):
+    """One Metropolis step of a single chain, targeting the prior restricted
+    above the level.
+
+    Symmetric Gaussian proposal (full-vector or coordinate-wise), acceptance
+    on the prior density ratio, then the likelihood constraint as a second
+    gate.  The likelihood is evaluated only for prior-accepted candidates
+    that differ from the current state.  lla_mcmc.constrained_mh_step steps
+    many chains as one array; nested replaces one point at a time, and for a
+    single row this scalar form is the faster one.
+    """
+    state = np.asarray(state, dtype=float)
+    if component_wise:
+        candidate = state.copy()
+        for k, prior in enumerate(problem.priors):
+            eta_k = candidate[k] + kernel_stddev[k] * rng.standard_normal()
+            log_ratio = prior.log_pdf(eta_k) - prior.log_pdf(candidate[k])
+            if np.log(rng.uniform()) < log_ratio:
+                candidate[k] = eta_k
+    else:
+        eta = state + kernel_stddev * rng.standard_normal(problem.dimension)
+        log_ratio = problem.log_prior(eta) - problem.log_prior(state)
+        candidate = eta if np.log(rng.uniform()) < log_ratio else state
+
+    if np.array_equal(candidate, state):
+        return state, log_L_state
+    log_L_candidate = logL_fn(candidate)
+    if log_L_candidate > log_lambda:
+        return candidate, log_L_candidate
+    return state, log_L_state
+
+
+def constrained_walk(passing, passing_log_L, log_lambda, kernel_stddev,
+                     component_wise, steps, problem, logL_fn, seed_path):
+    """One replacement above the level: a chain seeded from seed_path starts
+    at a survivor drawn by its generator and takes steps constrained steps."""
+    if len(passing) == 0:
+        raise LevelUnreachableError("level unreachable: no surviving samples")
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_path)))
+    start = rng.integers(len(passing))
+    state = np.array(passing[start], dtype=float)
+    log_L = passing_log_L[start]
+    for _ in range(steps):
+        state, log_L = constrained_mh_step(
+            state, log_L, log_lambda, kernel_stddev, component_wise, problem,
+            logL_fn, rng)
+    return state, log_L
+
+
 class _NestedLevels(LevelStrategy):
     """Replaces the worst live point by a constrained walk each iteration."""
 
@@ -86,15 +135,15 @@ class _NestedLevels(LevelStrategy):
         # evaluations count towards this level; with no live point strictly
         # above (a constant plateau) the run stops before shrinking
         above = self.live_log_L > log_lambda
-        new, new_log_L = replenish(
+        new, new_log_L = constrained_walk(
             self.live[above], self.live_log_L[above], log_lambda,
             self.stddev, self.component_wise,
             self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
-            [(self.seed, iteration)])
+            (self.seed, iteration))
         x = math.exp(-iteration / self.config.n_live)
         dead = self.live[[self.worst]]
-        self.live[self.worst] = new[0]
-        self.live_log_L[self.worst] = new_log_L[0]
+        self.live[self.worst] = new
+        self.live_log_L[self.worst] = new_log_L
         # the live set bounds what the remaining mass can still contribute
         return x, dead, None, self.live_log_L.max() + math.log(x)
 
@@ -102,7 +151,7 @@ class _NestedLevels(LevelStrategy):
 def run_nested(problem, config, seed):
     """Classic nested sampling with the deterministic exp(-i/N) volume model.
 
-    Live points are replaced via the constrained MH kernel; the final
+    Live points are replaced by a one-chain constrained walk; the final
     live-set contribution is added on termination.
     """
     nested = _NestedLevels(problem, config, seed)

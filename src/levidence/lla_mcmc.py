@@ -3,9 +3,13 @@
 The super-level prior mass telescopes as a product of per-iteration pass
 fractions.  Samples rejected at each new level are replenished by Markov
 chains whose stationary distribution is the prior conditioned on the
-super-level region; the chains accept on the prior ratio first and only
-then evaluate the likelihood gate, so prior-rejected proposals cost no
-likelihood evaluations.
+super-level region.  All of a level's replacement chains advance together as
+the rows of one (n, d) array, each with its own generator.  A step accepts
+on the prior ratio first, for all rows at once against each row's cached log
+prior, and only then evaluates the likelihood gate on the rows that moved,
+so prior-rejected proposals cost no likelihood evaluations.  Up to
+COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
+coordinate accepts on its own prior ratio.
 """
 
 from __future__ import annotations
@@ -66,35 +70,39 @@ class MCMCConfig:
         return LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
 
 
-def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
-                        component_wise, problem, logL_fn, rng):
-    """One Metropolis step targeting the prior restricted above the level.
+def _log_prior_terms(problem, x):
+    """Each coordinate's log prior density for every row of x, (n, d)."""
+    return np.column_stack([p.log_pdf(col)
+                            for p, col in zip(problem.priors, x.T)])
 
-    Symmetric Gaussian proposal (full-vector or coordinate-wise), acceptance
-    on the prior density ratio, then the likelihood constraint as a second
-    gate.  The likelihood is evaluated only for prior-accepted candidates
-    that differ from the current state.
+
+def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
+                        logL_fn, problem):
+    """One Metropolis step of every chain, targeting the prior restricted
+    above the level.
+
+    Row i of state proposes state[i] + delta[i].  log_p caches each row's log
+    prior: (n,) for full-vector moves, or per coordinate, (n, d), for
+    component-wise moves, where each coordinate accepts on its own prior
+    ratio.  log_u, of log_p's shape, holds the log uniforms of that test.
+    The likelihood is evaluated only for rows whose candidate differs from
+    their state, and a candidate at or below log_lambda is rejected.
+    Returns new (state, log_L, log_p) arrays.
     """
-    state = np.asarray(state, dtype=float)
-    if component_wise:
-        candidate = state.copy()
-        for k, prior in enumerate(problem.priors):
-            eta_k = candidate[k] + kernel_stddev[k] * rng.standard_normal()
-            log_ratio = prior.log_pdf(eta_k) - prior.log_pdf(candidate[k])
-            if np.log(rng.uniform()) < log_ratio:
-                candidate[k] = eta_k
-    else:
-        eta = state + kernel_stddev * rng.standard_normal(problem.dimension)
-        log_ratio = problem.log_prior(eta) - problem.log_prior(state)
-        candidate = eta if np.log(rng.uniform()) < log_ratio else state
-
-    if np.array_equal(candidate, state):
-        return state, log_L_state, True
-
-    log_L_candidate = logL_fn(candidate)
-    if log_L_candidate > log_lambda:
-        return candidate, log_L_candidate, True
-    return state, log_L_state, False
+    eta = state + delta
+    log_p_eta = (problem.log_prior(eta) if log_p.ndim == 1
+                 else _log_prior_terms(problem, eta))
+    accept = log_u < log_p_eta - log_p
+    candidate = np.where(accept.reshape(len(state), -1), eta, state)
+    moved = np.flatnonzero((candidate != state).any(axis=1))
+    candidate_log_L = log_L.copy()
+    candidate_log_L[moved] = [logL_fn(candidate[i]) for i in moved]
+    # rows that did not move stay above the level, as every state does
+    keep = candidate_log_L > log_lambda
+    keep_p = keep if log_p.ndim == 1 else keep[:, None]
+    return (np.where(keep[:, None], candidate, state),
+            np.where(keep, candidate_log_L, log_L),
+            np.where(keep_p, np.where(accept, log_p_eta, log_p), log_p))
 
 
 def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
@@ -102,25 +110,40 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     """Replacement samples above the level, one short chain per seed path.
 
     Each chain starts at a survivor drawn by its own generator, seeded from
-    its entry of seed_paths, and takes steps_per_sample constrained steps.
+    its entry of seed_paths, and takes steps_per_sample constrained steps;
+    all chains advance together as the rows of one array.  A chain's draws do
+    not depend on its state, so they are taken up front, in the order of the
+    one-chain walk (baselines.constrained_walk): the start index, then per
+    step a standard normal vector and one uniform, or d uniforms when moves
+    are component-wise.
     """
     if len(passing) == 0:
         raise LevelUnreachableError("level unreachable: no surviving samples")
     if len(seed_paths) < 1:
         raise ValueError("need at least one chain")
-    out_samples, out_log_L = [], []
-    for path in seed_paths:
+    n, d = len(seed_paths), problem.dimension
+    u_size = d if component_wise else None
+    starts = np.empty(n, dtype=np.intp)
+    z = np.empty((steps_per_sample, n, d))
+    u = np.empty((steps_per_sample, n) + ((d,) if component_wise else ()))
+    for c, path in enumerate(seed_paths):
         rng = np.random.default_rng(np.random.SeedSequence(list(path)))
-        start = rng.integers(len(passing))
-        state = np.array(passing[start], dtype=float)
-        log_L = passing_log_L[start]
-        for _ in range(steps_per_sample):
-            state, log_L, _ = constrained_mh_step(
-                state, log_L, log_lambda, kernel_stddev, component_wise,
-                problem, logL_fn, rng)
-        out_samples.append(state)
-        out_log_L.append(log_L)
-    return np.asarray(out_samples), np.asarray(out_log_L)
+        starts[c] = rng.integers(len(passing))
+        for s in range(steps_per_sample):
+            # random() is uniform() on [0, 1) without its bounds arithmetic
+            rng.standard_normal(out=z[s, c])
+            u[s, c] = rng.random(u_size)
+    delta = np.multiply(z, kernel_stddev, out=z)
+    log_u = np.log(u, out=u)
+
+    state, log_L = passing[starts], passing_log_L[starts]
+    log_p = (_log_prior_terms(problem, state) if component_wise
+             else problem.log_prior(state))
+    for s in range(steps_per_sample):
+        state, log_L, log_p = constrained_mh_step(
+            state, log_L, log_p, log_lambda, delta[s], log_u[s], logL_fn,
+            problem)
+    return state, log_L
 
 
 def chi_mcmc(chi_prev, n_pass, n_total):

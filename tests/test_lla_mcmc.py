@@ -7,9 +7,10 @@ import pytest
 
 from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
                             normal_prior, uniform_prior)
+from levidence.baselines import constrained_walk
 from levidence.lla_mcmc import (KernelConfig, LevelUnreachableError,
-                                MCMCConfig, chi_mcmc, constrained_mh_step,
-                                replenish, run_lla_mcmc)
+                                MCMCConfig, _log_prior_terms, chi_mcmc,
+                                constrained_mh_step, replenish, run_lla_mcmc)
 from levidence.schedule import StoppingPolicy
 
 
@@ -62,33 +63,66 @@ class TestKernelConfig:
             KernelConfig(steps_per_sample=0)
 
 
+def _mixed_problem(d, seen=None):
+    # alternating U(0, 1) and N(0.2, 1.5^2) marginals; a likelihood peaked
+    # at 0.5 in every coordinate
+    def log_L(t):
+        v = -10.0 * float(np.sum((t - 0.5) ** 2))
+        if seen is not None:
+            seen.append(v)
+        return v
+    priors = [uniform_prior(0.0, 1.0) if k % 2 == 0
+              else normal_prior(0.2, 1.5) for k in range(d)]
+    return BayesianProblem(dimension=d, priors=priors, log_likelihood=log_L)
+
+
+def _survivors(problem, n, seed, quantile=0.5):
+    """Prior draws above a level at the given likelihood quantile."""
+    x = problem.sample_prior(np.random.default_rng(seed), n)
+    log_L = np.array([problem.log_likelihood(t) for t in x])
+    lam = float(np.quantile(log_L, quantile))
+    return x[log_L > lam], log_L[log_L > lam], lam
+
+
+def _random_step(state, log_L, log_p, lam, scale, problem, logL_fn, rng):
+    delta = scale * rng.standard_normal(state.shape)
+    log_u = np.log(rng.uniform(size=log_p.shape))
+    return constrained_mh_step(state, log_L, log_p, lam, delta, log_u,
+                               logL_fn, problem)
+
+
 class TestConstrainedMHStep:
     def test_never_returns_state_below_level(self):
         problem = _uniform_problem()
         rng = np.random.default_rng(0)
-        state = np.array([0.9])
-        log_L = problem.log_likelihood(state)
+        state = np.full((20, 1), 0.9)
+        log_L = np.array([problem.log_likelihood(t) for t in state])
+        log_p = problem.log_prior(state)
         lam = math.log(2.0 * 0.5)
         for _ in range(200):
-            state, log_L, _ = constrained_mh_step(
-                state, log_L, lam, np.array([0.3]), False, problem,
+            state, log_L, log_p = _random_step(
+                state, log_L, log_p, lam, 0.3, problem,
                 problem.log_likelihood, rng)
-            assert log_L > lam
+            assert np.all(log_L > lam)
+            assert np.all(state > 0.5)
 
     def test_uniform_prior_targets_conditional_prior(self):
-        # long chain above lambda: states should be uniform on (0.5, 1]
+        # every chain starts at 0.75 and runs above lambda: after burn-in
+        # the rows should be uniform on (0.5, 1]
         problem = _uniform_problem()
         rng = np.random.default_rng(1)
         lam = math.log(2.0 * 0.5)
-        state = np.array([0.75])
-        log_L = problem.log_likelihood(state)
+        state = np.full((400, 1), 0.75)
+        log_L = np.array([problem.log_likelihood(t) for t in state])
+        log_p = problem.log_prior(state)
         draws = []
-        for _ in range(4000):
-            state, log_L, _ = constrained_mh_step(
-                state, log_L, lam, np.array([0.3]), False, problem,
+        for step in range(60):
+            state, log_L, log_p = _random_step(
+                state, log_L, log_p, lam, 0.3, problem,
                 problem.log_likelihood, rng)
-            draws.append(state[0])
-        draws = np.asarray(draws[500:])
+            if step >= 20:
+                draws.append(state[:, 0])
+        draws = np.concatenate(draws)
         assert draws.min() > 0.5
         # uniform on (0.5, 1]: mean 0.75, variance 1/48
         assert draws.mean() == pytest.approx(0.75, abs=0.02)
@@ -105,13 +139,35 @@ class TestConstrainedMHStep:
             return problem.log_likelihood(t)
 
         rng = np.random.default_rng(2)
-        state = np.array([0.99])
-        log_L = problem.log_likelihood(state)
+        state = np.full((10, 1), 0.99)
+        log_L = np.array([problem.log_likelihood(t) for t in state])
+        log_p = problem.log_prior(state)
         for _ in range(100):
-            state, log_L, _ = constrained_mh_step(
-                state, log_L, math.log(1.9), np.array([50.0]), False,
-                problem, counting, rng)
+            state, log_L, log_p = _random_step(
+                state, log_L, log_p, math.log(1.9), 50.0, problem, counting,
+                rng)
         assert all(0.0 <= x <= 1.0 for x in calls)
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("component_wise", [False, True])
+    def test_cached_log_prior_follows_state(self, component_wise):
+        problem = _mixed_problem(4)
+        passing, passing_log_L, lam = _survivors(problem, 200, 3)
+        rng = np.random.default_rng(4)
+        state, log_L = passing[:30], passing_log_L[:30]
+        log_p = (_log_prior_terms(problem, state) if component_wise
+                 else problem.log_prior(state))
+        start = state
+        for _ in range(20):
+            state, log_L, log_p = _random_step(
+                state, log_L, log_p, lam, 0.4, problem,
+                problem.log_likelihood, rng)
+        assert np.any(state != start)
+        expect = (_log_prior_terms(problem, state) if component_wise
+                  else problem.log_prior(state))
+        np.testing.assert_array_equal(log_p, expect)
+        np.testing.assert_array_equal(
+            log_L, [problem.log_likelihood(t) for t in state])
 
 
 class TestReplenish:
@@ -124,6 +180,7 @@ class TestReplenish:
                           problem, problem.log_likelihood,
                           [(0, 1, chain) for chain in range(5)])
         assert s.shape == (5, 1)
+        assert ll.shape == (5,)
         assert np.all(ll > lam)
 
     def test_empty_survivors_raise(self):
@@ -132,6 +189,74 @@ class TestReplenish:
             replenish(np.empty((0, 1)), np.empty(0), 0.0,
                       np.array([0.1]), False, 1, problem,
                       problem.log_likelihood, [(0, 1, 0)])
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_full_vector_matches_one_chain_walk(self, d):
+        # below COMPONENT_WISE_DIMENSION the batch draws each chain's
+        # stream in the one-chain walk's order, so rows are identical
+        seen = []
+        problem = _mixed_problem(d, seen)
+        passing, passing_log_L, lam = _survivors(problem, 400, d)
+        stddev = np.full(d, 0.5)
+        paths = [(5, 2, chain) for chain in range(30)]
+        del seen[:]
+        s, ll = replenish(passing, passing_log_L, lam, stddev, False, 6,
+                          problem, problem.log_likelihood, paths)
+        # both gates rejected some proposals: fewer likelihood calls than
+        # steps, and some evaluated candidates at or below the level
+        assert 0 < len(seen) < 30 * 6
+        assert min(seen) <= lam
+        for row, log_L_row, path in zip(s, ll, paths):
+            walked, walked_log_L = constrained_walk(
+                passing, passing_log_L, lam, stddev, False, 6, problem,
+                problem.log_likelihood, path)
+            assert np.all(row == walked)
+            assert log_L_row == walked_log_L
+
+    def test_component_wise_rows_do_not_depend_on_batch(self):
+        problem = _mixed_problem(12)
+        passing, passing_log_L, lam = _survivors(problem, 400, 6)
+        stddev, component_wise = KernelConfig().resolve(problem)
+        assert component_wise
+
+        def run(paths):
+            return replenish(passing, passing_log_L, lam, stddev, True, 4,
+                             problem, problem.log_likelihood, paths)
+
+        paths = [(8, 3, chain) for chain in range(12)]
+        s, ll = run(paths)
+        assert np.any(s != passing[0])
+        subset = [4, 11, 0, 7]
+        s_sub, ll_sub = run([paths[i] for i in subset])
+        assert np.all(s_sub == s[subset])
+        assert np.all(ll_sub == ll[subset])
+        for i in (2, 9):
+            s_one, ll_one = run([paths[i]])
+            assert np.all(s_one[0] == s[i])
+            assert ll_one[0] == ll[i]
+
+    def test_component_wise_stationarity(self):
+        # uniform product prior on (0, 1)^12 conditioned on theta_0 > 0.5;
+        # every chain starts in a corner and must mix to U(0.5, 1] in
+        # theta_0 and U(0, 1) in theta_1
+        d = 12
+        problem = BayesianProblem(
+            dimension=d, priors=[uniform_prior(0.0, 1.0)] * d,
+            log_likelihood=lambda t: float(t[0]))
+        stddev, component_wise = KernelConfig().resolve(problem)
+        assert component_wise
+        start = np.full((1, d), 0.05)
+        start[0, 0] = 0.95
+        s, ll = replenish(start, np.array([0.95]), 0.5, stddev, True, 200,
+                          problem, problem.log_likelihood,
+                          [(9, chain) for chain in range(1000)])
+        assert np.all(s[:, 0] > 0.5)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert np.all(ll == s[:, 0])
+        assert s[:, 0].mean() == pytest.approx(0.75, abs=0.02)
+        assert s[:, 0].var() == pytest.approx(1.0 / 48.0, abs=0.003)
+        assert s[:, 1].mean() == pytest.approx(0.5, abs=0.04)
+        assert s[:, 1].var() == pytest.approx(1.0 / 12.0, abs=0.01)
 
 
 class TestRunLLAMCMC:
