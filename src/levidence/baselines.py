@@ -13,7 +13,7 @@ import numpy as np
 from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
                    TerminationReason, evidence_update, finalize_estimate,
                    log_sum_exp, shell_statistics)
-from .lla_mcmc import KernelConfig, LevelUnreachableError
+from .lla_mcmc import KernelConfig, LevelUnreachableError, replenish
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
                        StopRun, run_levels, should_stop)
 
@@ -44,50 +44,33 @@ def run_mc(problem, n, seed):
     m = log_L.max()
     if m == NEG_INF:
         warnings.warn("all likelihoods are zero", RuntimeWarning)
-        log_E = NEG_INF
-        se_log = math.inf
+        log_E, se_log, shell = NEG_INF, math.inf, (None, None)
     else:
         w = np.exp(log_L - m)                  # scaled linear likelihoods
         log_E = m + math.log(w.mean())
         # SE of log(mean) via the delta method on the scaled values
         se_log = w.std(ddof=1) / (w.mean() * math.sqrt(n)) if n > 1 else math.inf
+        shell = shell_statistics(samples, w)
 
     trace = LevelTrace()
-    if m == NEG_INF:
-        shell_mean, shell_second = None, None
-    else:
-        shell_mean, shell_second = shell_statistics(samples, np.exp(log_L - m))
-    trace.add_level(log_E, 0.0, log_E, shell_mean, shell_second, logL_fn.count)
+    trace.add_level(log_E, 0.0, log_E, *shell, logL_fn.count)
     est = finalize_estimate(trace, TerminationReason.max_evals, logL_fn.count,
                             problem.dimension)
     return replace(est, standard_error_log=se_log)
 
 
 def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
-                        component_wise, problem, logL_fn, rng):
+                        problem, logL_fn, rng):
     """One Metropolis step of a single chain, targeting the prior restricted
     above the level.
 
-    Symmetric Gaussian proposal (full-vector or coordinate-wise), acceptance
-    on the prior density ratio, then the likelihood constraint as a second
-    gate.  The likelihood is evaluated only for prior-accepted candidates
-    that differ from the current state.  lla_mcmc.constrained_mh_step steps
-    many chains as one array; nested replaces one point at a time, and for a
-    single row this scalar form is the faster one.
+    A full-vector Gaussian proposal passes the prior density ratio, then the
+    likelihood gate, evaluated only for a move the prior accepts.  For one
+    chain, this is faster than lla_mcmc's array step.
     """
-    state = np.asarray(state, dtype=float)
-    if component_wise:
-        candidate = state.copy()
-        for k, prior in enumerate(problem.priors):
-            eta_k = candidate[k] + kernel_stddev[k] * rng.standard_normal()
-            log_ratio = prior.log_pdf(eta_k) - prior.log_pdf(candidate[k])
-            if np.log(rng.uniform()) < log_ratio:
-                candidate[k] = eta_k
-    else:
-        eta = state + kernel_stddev * rng.standard_normal(problem.dimension)
-        log_ratio = problem.log_prior(eta) - problem.log_prior(state)
-        candidate = eta if np.log(rng.uniform()) < log_ratio else state
-
+    eta = state + kernel_stddev * rng.standard_normal(problem.dimension)
+    log_ratio = problem.log_prior(eta) - problem.log_prior(state)
+    candidate = eta if np.log(rng.uniform()) < log_ratio else state
     if np.array_equal(candidate, state):
         return state, log_L_state
     log_L_candidate = logL_fn(candidate)
@@ -97,7 +80,7 @@ def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
 
 
 def constrained_walk(passing, passing_log_L, log_lambda, kernel_stddev,
-                     component_wise, steps, problem, logL_fn, seed_path):
+                     steps, problem, logL_fn, seed_path):
     """One replacement above the level: a chain seeded from seed_path starts
     at a survivor drawn by its generator and takes steps constrained steps."""
     if len(passing) == 0:
@@ -108,8 +91,7 @@ def constrained_walk(passing, passing_log_L, log_lambda, kernel_stddev,
     log_L = passing_log_L[start]
     for _ in range(steps):
         state, log_L = constrained_mh_step(
-            state, log_L, log_lambda, kernel_stddev, component_wise, problem,
-            logL_fn, rng)
+            state, log_L, log_lambda, kernel_stddev, problem, logL_fn, rng)
     return state, log_L
 
 
@@ -135,11 +117,16 @@ class _NestedLevels(LevelStrategy):
         # evaluations count towards this level; with no live point strictly
         # above (a constant plateau) the run stops before shrinking
         above = self.live_log_L > log_lambda
-        new, new_log_L = constrained_walk(
-            self.live[above], self.live_log_L[above], log_lambda,
-            self.stddev, self.component_wise,
-            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
-            (self.seed, iteration))
+        walk = (self.live[above], self.live_log_L[above], log_lambda,
+                self.stddev)
+        steps = self.config.kernel.steps_per_sample
+        path = (self.seed, iteration)
+        if self.component_wise:  # one row of the array kernel
+            new, new_log_L = (a[0] for a in replenish(
+                *walk, True, steps, self.problem, self.logL_fn, [path]))
+        else:
+            new, new_log_L = constrained_walk(*walk, steps, self.problem,
+                                              self.logL_fn, path)
         x = math.exp(-iteration / self.config.n_live)
         dead = self.live[[self.worst]]
         self.live[self.worst] = new
@@ -147,24 +134,19 @@ class _NestedLevels(LevelStrategy):
         # the live set bounds what the remaining mass can still contribute
         return x, dead, None, self.live_log_L.max() + math.log(x)
 
+    def tail(self, trace):
+        # the final live set: each point carries mass chi_final / n_live
+        lam_final, x_final = float(self.live_log_L.max()), trace.chi_current
+        if lam_final <= trace.log_lambda_current:
+            return None
+        log_live = (log_sum_exp(self.live_log_L) - math.log(self.config.n_live)
+                    + math.log(x_final)) if x_final > 0 else NEG_INF
+        return lam_final, log_live, self.live
+
 
 def run_nested(problem, config, seed):
     """Classic nested sampling with the deterministic exp(-i/N) volume model.
 
-    Live points are replaced by a one-chain constrained walk; the final
-    live-set contribution is added on termination.
+    The final live set is added as the strategy's tail.
     """
-    nested = _NestedLevels(problem, config, seed)
-    est = run_levels(nested)
-    trace, live, live_log_L = est.trace, nested.live, nested.live_log_L
-
-    # final live-set contribution: each point carries mass X_final / n_live
-    x_final = trace.chi_current
-    lam_final = float(live_log_L.max())
-    if lam_final > trace.log_lambda_current:
-        log_live = (log_sum_exp(live_log_L) - math.log(config.n_live)
-                    + math.log(x_final)) if x_final > 0 else NEG_INF
-        trace.add_level(lam_final, 0.0, log_live, *shell_statistics(live),
-                        est.total_evals)
-    return finalize_estimate(trace, est.termination_reason, est.total_evals,
-                             problem.dimension)
+    return run_levels(_NestedLevels(problem, config, seed))

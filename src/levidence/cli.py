@@ -5,10 +5,10 @@ and writes trace and summary tables, `select` turns per-model run records
 into posterior model probabilities, and `convergence` sweeps evaluation
 budgets to tabulate error against cost.
 
-Config files are INI-style: an [experiment] section plus optional sections
-named after the estimator and the shared [stopping] and [level] policies.
-Keys in those sections are the field names of the matching config
-dataclasses; an unknown key is an error.
+Config files are INI-style: [experiment], [stopping], a section named after
+the estimator (with the KernelConfig keys if its config has a kernel) and,
+if its config has a level_policy, [level].  Keys are the field names of the
+config dataclasses; an unknown key or section is an error.
 All randomness flows from the configured seed, and replications run in
 seed order in this process, so outputs are byte identical for a given
 (config, seed).  --workers is accepted and range-checked only.
@@ -21,6 +21,7 @@ import configparser
 import csv
 import dataclasses
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import NestedConfig, run_mc, run_nested
+from .core import ConfigFieldError
 from .lla_is import ISConfig, run_lla_is
 from .lla_mcmc import KernelConfig, MCMCConfig, run_lla_mcmc
 from .lla_ss import SSConfig, run_lla_ss
@@ -71,15 +73,11 @@ def _key_line(path, section, key=None):
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
-            if in_section and key is not None:
-                break
             in_section = line[1:-1].strip() == section
             if in_section and key is None:
                 return i
-        elif in_section and key is not None:
-            name = line.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
-                return i
+        elif in_section and re.match("[^=:]*", line)[0].strip() == key:
+            return i
     return 1
 
 
@@ -95,8 +93,7 @@ def _args_list(raw, parse, option):
         raise ConfigError("<args>", 1, "bad value for %s: %r" % (option, raw))
 
 
-# INI value parsers by config-dataclass field annotation; fields of any other
-# type (the nested policies and kernel) are not INI keys
+# INI value parsers by field annotation; other fields hold config objects
 _PARSERS = {"int": int, "float": float, "float | None": float,
             "tuple": _parse_list}
 
@@ -188,36 +185,44 @@ def _config(cfg, name, cls, **given):
 
 
 def _estimator_runner(cfg, problem, stopping):
-    """Bind the configured estimator to a callable of one seed argument."""
-    name, dim = cfg["estimator"], problem.dimension
-    if name == "mc":
+    """Bind the configured estimator to a callable of one seed argument.
+
+    The table is built per call, so it holds this module's run functions as
+    they are then.  The sections read are those the module docstring lists.
+    """
+    name, path = cfg["estimator"], cfg["path"]
+    cls, run = {"mc": (None, run_mc), "nested": (NestedConfig, run_nested),
+                "lla_is": (ISConfig, run_lla_is),
+                "lla_ss": (SSConfig, run_lla_ss),
+                "lla_mcmc": (MCMCConfig, run_lla_mcmc)}[name]
+    fields = {f.name for f in dataclasses.fields(cls)} if cls else set()
+    read = {"experiment", "stopping", name} | (
+        {"level"} if "level_policy" in fields else set())
+    for section in cfg["parser"].sections():
+        if section not in read:
+            raise ConfigError(path, _key_line(path, section),
+                              "%s does not read [%s]" % (name, section))
+    if cls is None:
         n = _section(cfg, name, {"n": int}).get("n", 20000)
-        return lambda s: run_mc(problem, n, s)
-    if name == "nested":
-        conf = _config(cfg, name, NestedConfig, stopping=stopping)
-        return lambda s: run_nested(problem, conf, s)
-    level = _config(cfg, "level", LevelPolicy)
-    if name == "lla_is":
-        conf = _config(cfg, name, ISConfig, level_policy=level,
-                       stopping=stopping)
-        return lambda s: run_lla_is(problem, conf, s)
-    if name == "lla_ss":
-        values = _section(cfg, name, _keys(SSConfig))
-        counts = values.get("per_dim_counts", [5])
-        if len(counts) == 1:
-            values["per_dim_counts"] = counts * dim
-        conf = _build(cfg, name, SSConfig, values, level_policy=level,
-                      stopping=stopping)
-        return lambda s: run_lla_ss(problem, conf, s)
-    values = _section(cfg, name, _keys(MCMCConfig, KernelConfig))
-    kernel_values = {k: values.pop(k) for k in _keys(KernelConfig)
-                     if k in values}
-    kernel = _build(cfg, name, KernelConfig, kernel_values)
-    # without a [level] section the schedule follows n_replace / n_samples
-    has_level = cfg["parser"].has_section("level")
-    conf = _build(cfg, name, MCMCConfig, values, kernel=kernel,
-                  level_policy=level if has_level else None, stopping=stopping)
-    return lambda s: run_lla_mcmc(problem, conf, s)
+        return lambda s: run(problem, n, s)
+
+    given = {"stopping": stopping}
+    if "level_policy" in fields:
+        given["level_policy"] = _config(cfg, "level", LevelPolicy)
+    values = _section(cfg, name, _keys(cls, KernelConfig) if "kernel" in fields
+                      else _keys(cls))
+    kernel = {k: values.pop(k) for k in _keys(KernelConfig) if k in values}
+    if kernel:
+        given["kernel"] = _build(cfg, name, KernelConfig, kernel)
+    conf = _build(cfg, name, cls, values, **given)
+
+    def runner(seed):
+        try:
+            return run(problem, conf, seed)
+        except ConfigFieldError as exc:  # found as the run starts
+            raise ConfigError(path, _key_line(path, name, exc.field), str(exc))
+
+    return runner
 
 
 def replication_seed(base_seed, replication):

@@ -26,6 +26,14 @@ class EmptyTraceError(ValueError):
     pass
 
 
+class ConfigFieldError(ValueError):
+    """A config value that does not fit the problem, with its field's name."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def log_sum_exp(xs):
     """log(sum(exp(xs))) without overflow; -inf for an all-(-inf) input."""
     xs = np.asarray(xs, dtype=float)
@@ -106,6 +114,8 @@ def normal_prior(mean, std):
     # closed-form density and scipy's ndtri quantile; frozen-distribution
     # methods carry too much per-call overhead for the samplers' hot loops
     mean, std = float(mean), float(std)
+    if not std > 0:
+        raise ValueError("need std > 0")
     log_norm = -0.5 * math.log(2.0 * math.pi) - math.log(std)
     inv2v = 0.5 / (std * std)
 
@@ -147,6 +157,10 @@ def uniform_prior(lo, hi):
 
 
 def truncated_normal_prior(mean, std, lo, hi):
+    if not std > 0:
+        raise ValueError("need std > 0")
+    if not hi > lo:
+        raise ValueError("need hi > lo")
     a, b = (lo - mean) / std, (hi - mean) / std
     d = stats.truncnorm(a, b, loc=mean, scale=std)
     return MarginalPrior(
@@ -282,9 +296,7 @@ def posterior_moments(trace, log_evidence):
                              trace.shell_second_moments)
         if m is not None and li > NEG_INF
     ]
-    if not pairs:
-        raise EmptyTraceError("no shells accumulated")
-    if log_evidence == NEG_INF:
+    if not pairs or log_evidence == NEG_INF:
         raise EmptyTraceError("no shells accumulated")
     w = np.array([math.exp(li - log_evidence) for li, _, _ in pairs])
     w = w / w.sum()
@@ -314,15 +326,13 @@ def finalize_estimate(trace, reason, total_evals, dimension):
 
 
 def shell_statistics(samples, weights=None):
-    """Mean and elementwise second moment of the samples in one shell.
+    """Mean and elementwise second moment of the (n, d) samples in a shell.
 
     Returns (None, None) for an empty shell; optional per-sample weights.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return None, None
-    if samples.ndim == 1:
-        samples = samples[:, None]
     if weights is None:
         mean = samples.mean(axis=0)
         second = (samples**2).mean(axis=0)

@@ -53,21 +53,16 @@ class KernelConfig:
 
 @dataclass
 class MCMCConfig:
+    """Each level rejects the fixed fraction n_replace / n_samples."""
+
     n_samples: int = 1000
     n_replace: int = 25
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    level_policy: LevelPolicy | None = None
     stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
 
     def __post_init__(self):
         if not 1 <= self.n_replace < self.n_samples:
             raise ValueError("need 1 <= n_replace < n_samples")
-
-    def resolved_level_policy(self):
-        if self.level_policy is not None:
-            return self.level_policy
-        f = self.n_replace / self.n_samples
-        return LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
 
 
 def _log_prior_terms(problem, x):
@@ -112,10 +107,10 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     Each chain starts at a survivor drawn by its own generator, seeded from
     its entry of seed_paths, and takes steps_per_sample constrained steps;
     all chains advance together as the rows of one array.  A chain's draws do
-    not depend on its state, so they are taken up front, in the order of the
-    one-chain walk (baselines.constrained_walk): the start index, then per
-    step a standard normal vector and one uniform, or d uniforms when moves
-    are component-wise.
+    not depend on its state, so they are taken up front: the start index,
+    then per step a standard normal vector and one uniform, the order of the
+    one-chain walk (baselines.constrained_walk), or d uniforms when moves are
+    component-wise, as in nested sampling's walk at that dimension.
     """
     if len(passing) == 0:
         raise LevelUnreachableError("level unreachable: no surviving samples")
@@ -160,7 +155,8 @@ class _MCMCLevels(LevelStrategy):
         super().__init__(problem, config, seed)
         self.kernel_stddev, self.component_wise = config.kernel.resolve(
             problem)
-        self.level_policy = config.resolved_level_policy()
+        f = config.n_replace / config.n_samples
+        self.level_policy = LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.samples = problem.sample_prior(rng0, config.n_samples)
         self.log_L = np.array([self.logL_fn(s) for s in self.samples])

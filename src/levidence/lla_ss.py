@@ -17,8 +17,8 @@ import numpy as np
 
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
-from .core import (NEG_INF, TerminationReason, evidence_update,  # noqa: F401
-                   finalize_estimate, shell_statistics)
+from .core import (NEG_INF, ConfigFieldError, TerminationReason,  # noqa: F401
+                   evidence_update, finalize_estimate, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -63,10 +63,14 @@ class SSConfig:
 
 
 def build_strata(problem, per_dim_counts):
-    """All-active equal-mass grid; total stratum count is capped."""
+    """All-active equal-mass grid, with one count per dimension or a single
+    count for all of them; the total stratum count is capped."""
     counts = tuple(int(c) for c in per_dim_counts)
+    if len(counts) == 1:
+        counts *= problem.dimension
     if len(counts) != problem.dimension:
-        raise ValueError("per_dim_counts length must equal the dimension")
+        raise ConfigFieldError("per_dim_counts", "per_dim_counts needs 1 or "
+                               "%d entries" % problem.dimension)
     total = math.prod(counts)
     if total > MAX_STRATA:
         raise StratificationError("stratification infeasible in this dimension")

@@ -171,7 +171,6 @@ def _mvn_log_pdf(y, cov):
 
 # --- regression model set -------------------------------------------------
 
-POLY_X = None
 POLY_NOISE = 0.1
 POLY_COEF_STD = 1.0
 POLY_TRUE_COEFFS = np.array([0.4, -0.3, 1.0])  # generating model: degree 2

@@ -127,8 +127,10 @@ class LevelStrategy:
       log_lambda, the shell holds the samples between the previous level and
       log_lambda (weights may be None), and log_bound bounds what the mass
       above log_lambda can still add to the evidence (NEG_INF for none);
-    - advance(iteration, log_lambda, trace): prepare the next iteration.
-    Any step ends the run by raising StopRun.
+    - advance(iteration, log_lambda, trace): prepare the next iteration;
+    - tail(trace): after the loop, None or (log_lambda, log_increment,
+      shell_samples) for a last row that credits the mass left above.
+    The first three steps end the run by raising StopRun.
     """
 
     def __init__(self, problem, config, seed):
@@ -140,6 +142,9 @@ class LevelStrategy:
     def advance(self, iteration, log_lambda, trace):
         pass
 
+    def tail(self, trace):
+        return None
+
 
 def run_levels(strategy):
     """Run the rectangle-rule level loop of one strategy to its stop.
@@ -147,9 +152,9 @@ def run_levels(strategy):
     A chi above the previous one is clamped silently.  The delta-evidence
     criterion sees the larger of the last increment and the strategy's
     bound, so a bound can only postpone that criterion, never the others.
+    However the loop ends, the strategy's tail row, if any, is recorded.
     """
     trace = LevelTrace()
-    stopping = strategy.config.stopping
     try:
         for iteration in itertools.count(1):
             log_lambda = strategy.level(iteration, trace)
@@ -161,12 +166,16 @@ def run_levels(strategy):
             trace.add_level(log_lambda, chi, log_inc,
                             *shell_statistics(shell, weights),
                             strategy.logL_fn.count)
-            stop, reason = should_stop(trace, stopping,
+            stop, reason = should_stop(trace, strategy.config.stopping,
                                        max(log_inc, log_bound))
             if stop:
                 break
             strategy.advance(iteration, log_lambda, trace)
     except StopRun as exc:
         reason = exc.reason
+    if (tail := strategy.tail(trace)) is not None:
+        log_lambda, log_inc, shell = tail
+        trace.add_level(log_lambda, 0.0, log_inc, *shell_statistics(shell),
+                        strategy.logL_fn.count)
     return finalize_estimate(trace, reason, strategy.logL_fn.count,
                              strategy.problem.dimension)

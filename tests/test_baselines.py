@@ -22,6 +22,13 @@ def _uniform_problem():
     )
 
 
+def _gaussian_problem_12d():
+    # above COMPONENT_WISE_DIMENSION, so nested walks with the array kernel
+    return BayesianProblem(
+        dimension=12, priors=[uniform_prior(-1.0, 1.0)] * 12,
+        log_likelihood=lambda t: -0.5 * float(t @ t) / 0.3 ** 2)
+
+
 def _gaussian_problem():
     return BayesianProblem(
         dimension=1, priors=[normal_prior(0.0, 1.0)],
@@ -103,9 +110,10 @@ class TestRunNested:
         cfg = NestedConfig(n_live=100,
                            stopping=StoppingPolicy(max_iterations=200,
                                                    max_evals=10**6))
-        est = run_nested(_uniform_problem(), cfg, seed=3)
-        lam = est.trace.log_lambda
-        assert all(b > a for a, b in zip(lam, lam[1:]))
+        for problem in (_uniform_problem(), _gaussian_problem_12d()):
+            est = run_nested(problem, cfg, seed=3)
+            lam = est.trace.log_lambda
+            assert all(b > a for a, b in zip(lam, lam[1:]))
 
     def test_plateau_terminates_degenerate(self):
         problem = BayesianProblem(

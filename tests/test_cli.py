@@ -4,8 +4,10 @@ import csv
 
 import pytest
 
+from levidence import cli
 from levidence.cli import (ConfigError, load_config, main, read_record,
                            replication_seed)
+from levidence.schedule import StoppingPolicy
 
 
 def _write(path, text):
@@ -38,6 +40,27 @@ n_replace = 20
 [stopping]
 max_iterations = 40
 max_evals = 4000
+"""
+
+IS_CONFIG = """\
+[experiment]
+benchmark = uniform_linear
+estimator = lla_is
+seed = 7
+
+[lla_is]
+n_initial = 200
+"""
+
+SS_CONFIG = """\
+[experiment]
+benchmark = bimodal_2d
+estimator = lla_ss
+seed = 7
+
+[lla_ss]
+n_per_iteration = 100
+per_dim_counts = 5,5,5
 """
 
 
@@ -93,14 +116,21 @@ class TestLoadConfig:
         cases = [
             ("[mc]\nn = 10\n", [], "a.ini:1: missing"),
             # a misspelled key in a section that is read
-            (MCMC_CONFIG + "\n[level]\nf_inti = 0.1\n", [],
-             "a.ini:16: unknown key 'f_inti'"),
+            (IS_CONFIG + "\n[level]\nf_inti = 0.1\n", [],
+             "a.ini:10: unknown key 'f_inti'"),
             (MC_CONFIG + "n_samples = 10\n", [], "a.ini:9: unknown key"),
             (MC_CONFIG + "\n[stopping]\nmax_eval = 10\n", [],
              "a.ini:11: unknown key"),
             # max_escalations is read, so a bad value is reported
-            (MCMC_CONFIG + "\n[level]\nmax_escalations = many\n", [],
-             "a.ini:16: bad value for 'max_escalations'"),
+            (IS_CONFIG + "\n[level]\nmax_escalations = many\n", [],
+             "a.ini:10: bad value for 'max_escalations'"),
+            # lla_mcmc fixes its level fraction, so it reads no [level]
+            (MCMC_CONFIG + "\n[level]\nf_init = 0.1\n", [],
+             "a.ini:15: lla_mcmc does not read [level]"),
+            (MC_CONFIG + "\n[stoping]\nmax_evals = 10\n", [],
+             "a.ini:10: mc does not read [stoping]"),
+            # three counts for two dimensions, found as the run starts
+            (SS_CONFIG, [], "a.ini:8: per_dim_counts needs 1 or 2 entries"),
             # command-line overrides are checked as the file's values are
             (MC_CONFIG, ["--seed-override", "-1"], "seed must be"),
             (MC_CONFIG, ["--workers", "0"], "workers must be >= 1"),
@@ -112,6 +142,18 @@ class TestLoadConfig:
                          "--out-dir", str(tmp_path / "out")] + extra)
             assert code == 2
             assert message in capsys.readouterr().err
+
+    def test_nested_kernel_keys_reach_config(self, tmp_path, monkeypatch):
+        # the runner calls the module's run_nested as it is at build time
+        monkeypatch.setattr(cli, "run_nested", lambda problem, conf, s: conf)
+        text = MC_CONFIG.replace("mc", "nested").replace("n = 2000",
+                                                          "n_live = 50")
+        for extra, steps in (("", 20), ("steps_per_sample = 7\n", 7)):
+            cfg = load_config(_write(tmp_path / "n.ini", text + extra))
+            runner = cli._estimator_runner(cfg, None, StoppingPolicy())
+            conf = runner(0)
+            assert conf.n_live == 50
+            assert conf.kernel.steps_per_sample == steps
 
 
 class TestReplicationSeed:

@@ -137,6 +137,19 @@ class TestPriors:
             assert np.all(p.log_pdf(xs) == [p.log_pdf(x) for x in xs])
             assert np.all(p.inverse_cdf(us) == [p.inverse_cdf(u) for u in us])
 
+    @pytest.mark.parametrize("make, args, message", [
+        (normal_prior, (0.0, 0.0), "need std > 0"),
+        (normal_prior, (0.0, -1.0), "need std > 0"),
+        (truncated_normal_prior, (0.0, -1.0, 0.0, 1.0), "need std > 0"),
+        (truncated_normal_prior, (0.0, 0.0, 0.0, 1.0), "need std > 0"),
+        (truncated_normal_prior, (0.0, 1.0, 2.0, 1.0), "need hi > lo"),
+        (truncated_normal_prior, (0.0, 1.0, 1.0, 1.0), "need hi > lo"),
+        (uniform_prior, (1.0, 1.0), "need hi > lo"),
+    ])
+    def test_invalid_parameters_rejected(self, make, args, message):
+        with pytest.raises(ValueError, match=message):
+            make(*args)
+
 
 class TestBayesianProblem:
     def _problem(self):

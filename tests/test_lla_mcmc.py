@@ -208,7 +208,7 @@ class TestReplenish:
         assert min(seen) <= lam
         for row, log_L_row, path in zip(s, ll, paths):
             walked, walked_log_L = constrained_walk(
-                passing, passing_log_L, lam, stddev, False, 6, problem,
+                passing, passing_log_L, lam, stddev, 6, problem,
                 problem.log_likelihood, path)
             assert np.all(row == walked)
             assert log_L_row == walked_log_L

@@ -10,6 +10,7 @@ from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
                             normal_prior, uniform_prior)
 from levidence.lla_ss import (SSConfig, StratificationError, build_strata,
                               chi_ss, run_lla_ss, sample_stratum, var_chi_ss)
+from levidence.models import make_benchmark
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
 
@@ -37,6 +38,14 @@ class TestBuildStrata:
         grid = build_strata(_uniform_problem(), (1,))
         assert grid.strata == [(1,)]
         assert grid.mass == 1.0
+
+    def test_single_count_applies_to_every_dimension(self):
+        problem = BayesianProblem(
+            dimension=3, priors=[uniform_prior(0, 1)] * 3,
+            log_likelihood=lambda t: 0.0)
+        grid = build_strata(problem, (4,))
+        assert grid.per_dim_counts == (4, 4, 4)
+        assert len(grid.strata) == 64
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -188,6 +197,12 @@ class TestRunLLASS:
                        stopping=StoppingPolicy(max_evals=600))
         est = run_lla_ss(_uniform_problem(), cfg, seed=2)
         assert est.total_evals <= 800
+
+    def test_default_config_runs_in_two_dimensions(self):
+        problem, _ = make_benchmark("bimodal_2d", 7)
+        est = run_lla_ss(problem, SSConfig(), seed=7)
+        assert len(est.trace) > 0
+        assert np.isfinite(est.log_evidence)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -186,3 +186,31 @@ class TestRunLevels:
         est = run_levels(_Halving(StoppingPolicy(), stop_after=3))
         assert est.termination_reason == TerminationReason.degenerate_level
         assert len(est.trace) == 3
+
+    def test_default_tail_adds_no_row(self):
+        est = run_levels(_Halving(StoppingPolicy(max_iterations=4)))
+        assert len(est.trace) == 4
+
+    @pytest.mark.parametrize("stopping, stop_after, reason", [
+        (StoppingPolicy(max_iterations=4), None,
+         TerminationReason.max_iterations),
+        (StoppingPolicy(), 4, TerminationReason.degenerate_level),
+    ])
+    def test_tail_recorded_after_any_stop(self, stopping, stop_after, reason):
+        class Tailed(_Halving):
+            def tail(self, trace):
+                # the mass left above the last level, at log-likelihood 1
+                return 1.0, np.log(trace.chi_current), np.ones((2, 1))
+
+        est = run_levels(Tailed(stopping, stop_after=stop_after))
+        assert est.termination_reason == reason
+        trace = est.trace
+        assert len(trace) == 5
+        assert trace.log_lambda[-1] == 1.0 and trace.chi[-1] == 0.0
+        assert trace.log_evidence_increments[-1] == np.log(0.5 ** 4)
+        assert trace.shell_means[-1] == [1.0]
+        assert trace.n_evals[-1] == 4
+        # the tail's increment is part of the estimate
+        expect = np.log(sum(np.exp(1e-3 * i) * 0.5 ** i for i in range(1, 5))
+                        + 0.5 ** 4)
+        assert est.log_evidence == pytest.approx(expect, rel=1e-12)
