@@ -8,12 +8,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# evidence_update and should_stop are called elsewhere; perfbench/layers.py
-# wraps them here, so they stay imported
+# evidence_update, should_stop and constrained_mh_step are called elsewhere;
+# perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
                    TerminationReason, evidence_update, finalize_estimate,
                    log_sum_exp, shell_statistics)
-from .lla_mcmc import KernelConfig, LevelUnreachableError, replenish
+from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
+                       replenish)
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
                        StopRun, run_levels, should_stop)
 
@@ -59,44 +60,8 @@ def run_mc(problem, n, seed):
     return replace(est, standard_error_log=se_log)
 
 
-def constrained_mh_step(state, log_L_state, log_lambda, kernel_stddev,
-                        problem, logL_fn, rng):
-    """One Metropolis step of a single chain, targeting the prior restricted
-    above the level.
-
-    A full-vector Gaussian proposal passes the prior density ratio, then the
-    likelihood gate, evaluated only for a move the prior accepts.  For one
-    chain, this is faster than lla_mcmc's array step.
-    """
-    eta = state + kernel_stddev * rng.standard_normal(problem.dimension)
-    log_ratio = problem.log_prior(eta) - problem.log_prior(state)
-    candidate = eta if np.log(rng.uniform()) < log_ratio else state
-    if np.array_equal(candidate, state):
-        return state, log_L_state
-    log_L_candidate = logL_fn(candidate)
-    if log_L_candidate > log_lambda:
-        return candidate, log_L_candidate
-    return state, log_L_state
-
-
-def constrained_walk(passing, passing_log_L, log_lambda, kernel_stddev,
-                     steps, problem, logL_fn, seed_path):
-    """One replacement above the level: a chain seeded from seed_path starts
-    at a survivor drawn by its generator and takes steps constrained steps."""
-    if len(passing) == 0:
-        raise LevelUnreachableError("level unreachable: no surviving samples")
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_path)))
-    start = rng.integers(len(passing))
-    state = np.array(passing[start], dtype=float)
-    log_L = passing_log_L[start]
-    for _ in range(steps):
-        state, log_L = constrained_mh_step(
-            state, log_L, log_lambda, kernel_stddev, problem, logL_fn, rng)
-    return state, log_L
-
-
 class _NestedLevels(LevelStrategy):
-    """Replaces the worst live point by a constrained walk each iteration."""
+    """Replaces the worst live point by one replenish chain each iteration."""
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
@@ -117,16 +82,10 @@ class _NestedLevels(LevelStrategy):
         # evaluations count towards this level; with no live point strictly
         # above (a constant plateau) the run stops before shrinking
         above = self.live_log_L > log_lambda
-        walk = (self.live[above], self.live_log_L[above], log_lambda,
-                self.stddev)
-        steps = self.config.kernel.steps_per_sample
-        path = (self.seed, iteration)
-        if self.component_wise:  # one row of the array kernel
-            new, new_log_L = (a[0] for a in replenish(
-                *walk, True, steps, self.problem, self.logL_fn, [path]))
-        else:
-            new, new_log_L = constrained_walk(*walk, steps, self.problem,
-                                              self.logL_fn, path)
+        (new,), (new_log_L,) = replenish(
+            self.live[above], self.live_log_L[above], log_lambda, self.stddev,
+            self.component_wise, self.config.kernel.steps_per_sample,
+            self.problem, self.logL_fn, [(self.seed, iteration)])
         x = math.exp(-iteration / self.config.n_live)
         dead = self.live[[self.worst]]
         self.live[self.worst] = new

@@ -64,8 +64,9 @@ def _fmt(x):
 
 
 def _key_line(path, section, key=None):
-    """Line number of a section header or of a key inside it, 1 if unknown."""
-    in_section = False
+    """Line number of a key inside a section, else of the section's header,
+    else 1."""
+    header, in_section = 1, False
     try:
         lines = Path(path).read_text().splitlines()
     except OSError:
@@ -74,11 +75,13 @@ def _key_line(path, section, key=None):
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
             in_section = line[1:-1].strip() == section
-            if in_section and key is None:
-                return i
+            if in_section:
+                header = i
+                if key is None:
+                    return i
         elif in_section and re.match("[^=:]*", line)[0].strip() == key:
             return i
-    return 1
+    return header
 
 
 def _parse_list(raw, parse=int):
@@ -130,7 +133,9 @@ def _section(cfg, name, parsers):
 
 def load_config(path):
     """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser()
+    # no section name can be empty, so [DEFAULT] is an ordinary section
+    # that no estimator reads, not defaults copied into every section
+    parser = configparser.ConfigParser(default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -187,8 +187,8 @@ class BayesianProblem:
     def log_prior(self, theta):
         """Log prior density of one vector, or of each row of an (n, d) array."""
         # a plain loop, not sum() over a generator: on one vector it is the
-        # faster form, and nested's one-chain walk calls this twice per
-        # step; lla_mcmc's batched kernel calls it once per step on all rows
+        # faster form, and replenish's scalar step (nested's lone chain)
+        # calls it once per step; the array step calls it on all rows
         total = 0.0
         for p, x in zip(self.priors, np.asarray(theta, dtype=float).T):
             total += p.log_pdf(x)

@@ -9,7 +9,9 @@ on the prior ratio first, for all rows at once against each row's cached log
 prior, and only then evaluates the likelihood gate on the rows that moved,
 so prior-rejected proposals cost no likelihood evaluations.  Up to
 COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
-coordinate accepts on its own prior ratio.
+coordinate accepts on its own prior ratio.  replenish is the only code that
+moves a chain: nested sampling's one replacement per iteration is a batch of
+one, which steps on the lone vector with the same draws.
 """
 
 from __future__ import annotations
@@ -108,9 +110,11 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     its entry of seed_paths, and takes steps_per_sample constrained steps;
     all chains advance together as the rows of one array.  A chain's draws do
     not depend on its state, so they are taken up front: the start index,
-    then per step a standard normal vector and one uniform, the order of the
-    one-chain walk (baselines.constrained_walk), or d uniforms when moves are
-    component-wise, as in nested sampling's walk at that dimension.
+    then per step a standard normal vector and one uniform, or d uniforms
+    when moves are component-wise.  A lone full-vector chain, as in nested
+    sampling, steps on its vector and scalars instead: numpy's per-call cost
+    on a one-row array exceeds the step's own work there, and the draws and
+    the arithmetic are the same, so its row is the one the array step gives.
     """
     if len(passing) == 0:
         raise LevelUnreachableError("level unreachable: no surviving samples")
@@ -132,6 +136,18 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     log_u = np.log(u, out=u)
 
     state, log_L = passing[starts], passing_log_L[starts]
+    if n == 1 and not component_wise:
+        # the scalar step: constrained_mh_step's tests, in its order
+        x, x_log_L, x_log_p = state[0], log_L[0], problem.log_prior(state[0])
+        for s in range(steps_per_sample):
+            eta = x + delta[s, 0]
+            eta_log_p = problem.log_prior(eta)
+            if (log_u[s, 0] < eta_log_p - x_log_p
+                    and not np.array_equal(eta, x)):
+                eta_log_L = logL_fn(eta)
+                if eta_log_L > log_lambda:
+                    x, x_log_L, x_log_p = eta, eta_log_L, eta_log_p
+        return x[None], np.array([x_log_L])
     log_p = (_log_prior_terms(problem, state) if component_wise
              else problem.log_prior(state))
     for s in range(steps_per_sample):

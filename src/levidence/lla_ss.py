@@ -73,7 +73,8 @@ def build_strata(problem, per_dim_counts):
                                "%d entries" % problem.dimension)
     total = math.prod(counts)
     if total > MAX_STRATA:
-        raise StratificationError("stratification infeasible in this dimension")
+        raise ConfigFieldError("per_dim_counts", "per_dim_counts gives %d "
+                               "strata, more than %d" % (total, MAX_STRATA))
     strata = list(itertools.product(*(range(1, c + 1) for c in counts)))
     return StrataGrid(per_dim_counts=counts, strata=strata, mass=1.0 / total,
                       samples=np.empty((0, len(counts))), log_L=np.empty(0),

@@ -85,13 +85,17 @@ def conjugate_exact_log_evidence(p):
     return log_prefactor + exponent
 
 
+# unbounded prior axes span the mean +- this many stddevs, and the grid
+# passes when doubling its nodes moves the log evidence by less than the tol
+ORACLE_STDDEV_SPAN = 10.0
+ORACLE_CONVERGENCE_TOL = 1e-6
+
+
 @dataclass
 class QuadratureOracle:
     """Tensor-grid trapezoid oracle for d <= 2 with a convergence gate."""
 
     nodes_per_dim: int = 2001
-    stddev_span: float = 10.0
-    convergence_tol: float = 1e-6
 
     def __post_init__(self):
         if self.nodes_per_dim < 1001:
@@ -102,17 +106,17 @@ class OracleNotConvergedError(RuntimeError):
     pass
 
 
-def _axis(prior, oracle, n_nodes):
+def _axis(prior, n_nodes):
     lo, hi = prior.support
     if not np.isfinite(lo):
-        lo = prior.mean - oracle.stddev_span * prior.std
+        lo = prior.mean - ORACLE_STDDEV_SPAN * prior.std
     if not np.isfinite(hi):
-        hi = prior.mean + oracle.stddev_span * prior.std
+        hi = prior.mean + ORACLE_STDDEV_SPAN * prior.std
     return np.linspace(lo, hi, n_nodes)
 
 
-def _grid_once(problem, oracle, n_nodes):
-    axes = [_axis(p, oracle, n_nodes) for p in problem.priors]
+def _grid_once(problem, n_nodes):
+    axes = [_axis(p, n_nodes) for p in problem.priors]
     if problem.dimension == 1:
         xs = axes[0]
         log_f = (np.array([problem.log_likelihood(np.array([x])) for x in xs])
@@ -146,9 +150,9 @@ def grid_log_evidence(problem, oracle=None):
     oracle = oracle or QuadratureOracle()
     if problem.dimension > 2:
         raise ValueError("grid oracle supports d <= 2 only")
-    coarse = _grid_once(problem, oracle, oracle.nodes_per_dim)
-    fine = _grid_once(problem, oracle, 2 * oracle.nodes_per_dim - 1)
-    if abs(fine - coarse) >= oracle.convergence_tol:
+    coarse = _grid_once(problem, oracle.nodes_per_dim)
+    fine = _grid_once(problem, 2 * oracle.nodes_per_dim - 1)
+    if abs(fine - coarse) >= ORACLE_CONVERGENCE_TOL:
         raise OracleNotConvergedError("oracle not converged")
     return fine
 

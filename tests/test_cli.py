@@ -63,6 +63,13 @@ n_per_iteration = 100
 per_dim_counts = 5,5,5
 """
 
+HIGHDIM_SS_CONFIG = """\
+[experiment]
+benchmark = highdim_gaussian_100
+estimator = lla_ss
+seed = 7
+"""
+
 
 class TestLoadConfig:
     def test_valid(self, tmp_path):
@@ -131,6 +138,18 @@ class TestLoadConfig:
              "a.ini:10: mc does not read [stoping]"),
             # three counts for two dimensions, found as the run starts
             (SS_CONFIG, [], "a.ini:8: per_dim_counts needs 1 or 2 entries"),
+            # too many strata: the default grid at d = 100 is reported at
+            # the [lla_ss] header, or at line 1 without one, and an explicit
+            # count at its own line
+            (HIGHDIM_SS_CONFIG, [], "a.ini:1: per_dim_counts gives 78886"),
+            (HIGHDIM_SS_CONFIG + "\n[lla_ss]\nn_per_iteration = 100\n", [],
+             "a.ini:6: per_dim_counts gives 78886"),
+            (HIGHDIM_SS_CONFIG + "\n[lla_ss]\nn_per_iteration = 100\n"
+             "per_dim_counts = 5\n", [],
+             "a.ini:8: per_dim_counts gives 78886"),
+            # configparser would copy [DEFAULT] into every section
+            (MC_CONFIG + "\n[DEFAULT]\nn = 10\n", [],
+             "a.ini:10: mc does not read [DEFAULT]"),
             # command-line overrides are checked as the file's values are
             (MC_CONFIG, ["--seed-override", "-1"], "seed must be"),
             (MC_CONFIG, ["--workers", "0"], "workers must be >= 1"),

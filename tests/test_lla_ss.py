@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
-                            normal_prior, uniform_prior)
+from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
+                            TerminationReason, normal_prior, uniform_prior)
 from levidence.lla_ss import (SSConfig, StratificationError, build_strata,
                               chi_ss, run_lla_ss, sample_stratum, var_chi_ss)
 from levidence.models import make_benchmark
@@ -55,7 +55,7 @@ class TestBuildStrata:
         problem = BayesianProblem(
             dimension=8, priors=[uniform_prior(0, 1)] * 8,
             log_likelihood=lambda t: 0.0)
-        with pytest.raises(StratificationError):
+        with pytest.raises(ConfigFieldError, match="gives 100000000 strata"):
             build_strata(problem, (10,) * 8)
 
 
