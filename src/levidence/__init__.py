@@ -7,9 +7,8 @@ from .core import (BayesianProblem, EvidenceEstimate, LevelTrace,
 from .lla_is import ISConfig, run_lla_is
 from .lla_mcmc import KernelConfig, MCMCConfig, run_lla_mcmc
 from .lla_ss import SSConfig, run_lla_ss
-from .models import (ConjugateGaussianProblem, QuadratureOracle,
-                     conjugate_exact_log_evidence, grid_log_evidence,
-                     make_benchmark)
+from .models import (ConjugateGaussianProblem, conjugate_exact_log_evidence,
+                     grid_log_evidence, make_benchmark)
 from .schedule import LevelPolicy, StoppingPolicy
 from .selection import (ModelSet, log_bayes_factor,
                         posterior_model_probabilities)
@@ -20,8 +19,8 @@ __all__ = [
     "MCMCConfig", "NestedConfig", "SSConfig", "LevelPolicy", "StoppingPolicy",
     "run_mc", "run_nested", "run_lla_is", "run_lla_ss", "run_lla_mcmc",
     "EvidenceEstimate", "LevelTrace", "TerminationReason",
-    "ConjugateGaussianProblem", "QuadratureOracle",
-    "conjugate_exact_log_evidence", "grid_log_evidence", "make_benchmark",
+    "ConjugateGaussianProblem", "conjugate_exact_log_evidence",
+    "grid_log_evidence", "make_benchmark",
     "ModelSet", "log_bayes_factor", "posterior_model_probabilities",
 ]
 

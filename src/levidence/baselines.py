@@ -40,7 +40,7 @@ def run_mc(problem, n, seed):
     logL_fn = CountingLikelihood(problem.log_likelihood)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     samples = problem.sample_prior(rng, n)
-    log_L = np.array([logL_fn(s) for s in samples])
+    log_L = logL_fn.rows(samples)
 
     m = log_L.max()
     if m == NEG_INF:
@@ -68,7 +68,7 @@ class _NestedLevels(LevelStrategy):
         self.stddev, self.component_wise = config.kernel.resolve(problem)
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.live = problem.sample_prior(rng0, config.n_live)
-        self.live_log_L = np.array([self.logL_fn(s) for s in self.live])
+        self.live_log_L = self.logL_fn.rows(self.live)
 
     def level(self, iteration, trace):
         self.worst = int(np.argmin(self.live_log_L))

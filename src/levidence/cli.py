@@ -209,6 +209,9 @@ def _estimator_runner(cfg, problem, stopping):
                               "%s does not read [%s]" % (name, section))
     if cls is None:
         n = _section(cfg, name, {"n": int}).get("n", 20000)
+        if n < 1:
+            raise ConfigError(path, _key_line(path, name, "n"),
+                              "n must be >= 1")
         return lambda s: run(problem, n, s)
 
     given = {"stopping": stopping}

@@ -206,7 +206,8 @@ class BayesianProblem:
 
 
 class CountingLikelihood:
-    """Wraps a log-likelihood with an evaluation counter."""
+    """Wraps a log-likelihood with an evaluation counter; a NaN or +inf
+    value raises ValueError naming the value and the point."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -214,7 +215,27 @@ class CountingLikelihood:
 
     def __call__(self, theta):
         self.count += 1
-        return float(self.fn(theta))
+        value = float(self.fn(theta))
+        if not value < math.inf:
+            raise ValueError(_invalid_log_likelihood(value, theta))
+        return value
+
+    def rows(self, samples):
+        """The (n,) log-likelihoods of the rows of an (n, d) array, in order;
+        every set of points is evaluated here."""
+        values = np.fromiter(map(self.fn, samples), dtype=float,
+                             count=len(samples))
+        self.count += len(values)
+        bad = np.flatnonzero(~(values < math.inf))
+        if len(bad):
+            raise ValueError(_invalid_log_likelihood(values[bad[0]],
+                                                     samples[bad[0]]))
+        return values
+
+
+def _invalid_log_likelihood(value, theta):
+    return "log-likelihood %r at theta = %s" % (float(value),
+                                                np.asarray(theta).tolist())
 
 
 class TerminationReason(str, Enum):

@@ -75,8 +75,12 @@ class ISConfig:
     def __post_init__(self):
         if self.n_initial < 10:
             raise ValueError("n_initial must be at least 10")
-        if self.stddev_multiplier <= 0:
+        if not 0 <= self.ess_threshold_fraction <= 1:
+            raise ValueError("ess_threshold_fraction must lie in [0, 1]")
+        if not self.stddev_multiplier > 0:
             raise ValueError("stddev_multiplier must be positive")
+        if not (self.stddev_override is None or self.stddev_override > 0):
+            raise ValueError("stddev_override must be positive")
 
 
 def fit_isd(retained_samples, multiplier, prior_support, stddev_override=None):
@@ -128,7 +132,7 @@ class _ISLevels(LevelStrategy):
         else:
             samples = self.isd.sample(self.rng, n)
             log_w = self.problem.log_prior(samples) - self.isd.log_pdf(samples)
-        return samples, log_w, np.array([self.logL_fn(s) for s in samples])
+        return samples, log_w, self.logL_fn.rows(samples)
 
     def level(self, iteration, trace):
         self.rng = np.random.default_rng(

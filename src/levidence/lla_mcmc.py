@@ -82,8 +82,9 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
     prior: (n,) for full-vector moves, or per coordinate, (n, d), for
     component-wise moves, where each coordinate accepts on its own prior
     ratio.  log_u, of log_p's shape, holds the log uniforms of that test.
-    The likelihood is evaluated only for rows whose candidate differs from
-    their state, and a candidate at or below log_lambda is rejected.
+    logL_fn, a CountingLikelihood, evaluates only the rows whose candidate
+    differs from their state, and a candidate at or below log_lambda is
+    rejected.
     Returns new (state, log_L, log_p) arrays.
     """
     eta = state + delta
@@ -93,7 +94,7 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
     candidate = np.where(accept.reshape(len(state), -1), eta, state)
     moved = np.flatnonzero((candidate != state).any(axis=1))
     candidate_log_L = log_L.copy()
-    candidate_log_L[moved] = [logL_fn(candidate[i]) for i in moved]
+    candidate_log_L[moved] = logL_fn.rows(candidate[moved])
     # rows that did not move stay above the level, as every state does
     keep = candidate_log_L > log_lambda
     keep_p = keep if log_p.ndim == 1 else keep[:, None]
@@ -175,7 +176,7 @@ class _MCMCLevels(LevelStrategy):
         self.level_policy = LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.samples = problem.sample_prior(rng0, config.n_samples)
-        self.log_L = np.array([self.logL_fn(s) for s in self.samples])
+        self.log_L = self.logL_fn.rows(self.samples)
 
     def level(self, iteration, trace):
         log_lambda, _ = select_level(np.sort(self.log_L), self.level_policy,

@@ -150,8 +150,7 @@ class _SSLevels(LevelStrategy):
                                       grid.strata[pos], n_s, rng))
         new = np.vstack(new)
         grid.samples = np.vstack([grid.samples, new])
-        grid.log_L = np.concatenate(
-            [grid.log_L, [self.logL_fn(row) for row in new]])
+        grid.log_L = np.concatenate([grid.log_L, self.logL_fn.rows(new)])
         grid.owner = np.concatenate([grid.owner, np.repeat(active, sizes)])
 
         # the level looks at every likelihood value ever drawn (retired

@@ -7,13 +7,14 @@ quadrature oracle covers the low-dimensional problems without one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BayesianProblem, log_sum_exp, normal_prior,
-                   truncated_normal_prior, uniform_prior)
+from .core import (BayesianProblem, CountingLikelihood, log_sum_exp,
+                   normal_prior, truncated_normal_prior, uniform_prior)
 
 BENCHMARK_NAMES = (
     "conjugate_gaussian",
@@ -91,17 +92,6 @@ ORACLE_STDDEV_SPAN = 10.0
 ORACLE_CONVERGENCE_TOL = 1e-6
 
 
-@dataclass
-class QuadratureOracle:
-    """Tensor-grid trapezoid oracle for d <= 2 with a convergence gate."""
-
-    nodes_per_dim: int = 2001
-
-    def __post_init__(self):
-        if self.nodes_per_dim < 1001:
-            raise ValueError("need at least 1001 nodes per dimension")
-
-
 class OracleNotConvergedError(RuntimeError):
     pass
 
@@ -115,43 +105,36 @@ def _axis(prior, n_nodes):
     return np.linspace(lo, hi, n_nodes)
 
 
-def _grid_once(problem, n_nodes):
-    axes = [_axis(p, n_nodes) for p in problem.priors]
-    if problem.dimension == 1:
-        xs = axes[0]
-        log_f = (np.array([problem.log_likelihood(np.array([x])) for x in xs])
-                 + problem.priors[0].log_pdf(xs))
-        h = xs[1] - xs[0]
-        log_w = np.full(n_nodes, math.log(h))
-        log_w[0] = log_w[-1] = math.log(h / 2.0)
-        return log_sum_exp(log_f + log_w)
-    xs, ys = axes
-    log_px = problem.priors[0].log_pdf(xs)
-    log_py = problem.priors[1].log_pdf(ys)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    wx = np.full(n_nodes, hx)
-    wx[0] = wx[-1] = hx / 2.0
-    wy = np.full(n_nodes, hy)
-    wy[0] = wy[-1] = hy / 2.0
-    terms = np.empty(n_nodes * n_nodes)
-    idx = 0
-    for i, x in enumerate(xs):
-        row = np.array([
-            problem.log_likelihood(np.array([x, y])) for y in ys
-        ])
-        terms[idx:idx + n_nodes] = (row + log_px[i] + log_py
-                                    + math.log(wx[i]) + np.log(wy))
-        idx += n_nodes
-    return log_sum_exp(terms)
+def grid_log_evidence(problem, nodes_per_dim=2001):
+    """Trapezoid tensor-grid log evidence with node-doubling convergence gate.
 
-
-def grid_log_evidence(problem, oracle=None):
-    """Trapezoid tensor-grid log evidence with node-doubling convergence gate."""
-    oracle = oracle or QuadratureOracle()
-    if problem.dimension > 2:
+    Each node of the fine grid, 2 * nodes_per_dim - 1 per axis, is evaluated
+    once, a line along the last axis at a time.  The coarse grid is every
+    other node: its weights, at twice the spacing, are twice the fine ones.
+    """
+    if nodes_per_dim < 1001:
+        raise ValueError("need at least 1001 nodes per dimension")
+    d = problem.dimension
+    if d > 2:
         raise ValueError("grid oracle supports d <= 2 only")
-    coarse = _grid_once(problem, oracle.nodes_per_dim)
-    fine = _grid_once(problem, 2 * oracle.nodes_per_dim - 1)
+    n = 2 * nodes_per_dim - 1
+    axes = [_axis(p, n) for p in problem.priors]
+    log_p = [p.log_pdf(x) for p, x in zip(problem.priors, axes)]
+    log_w = [np.full(n, math.log(x[1] - x[0])) for x in axes]
+    for w, x in zip(log_w, axes):
+        w[0] = w[-1] = math.log((x[1] - x[0]) / 2.0)
+    logL_fn = CountingLikelihood(problem.log_likelihood)
+    log_terms = np.empty((n,) * d)
+    for outer in itertools.product(range(n), repeat=d - 1):
+        line = outer + (slice(None),)
+        log_terms[outer] = logL_fn.rows(np.column_stack(np.broadcast_arrays(
+            *(x[i] for x, i in zip(axes, line)))))
+        # the likelihood, then each prior, then each weight, in axis order
+        for part, i in zip(log_p + log_w, line + line):
+            log_terms[outer] += part[i]
+    fine = log_sum_exp(log_terms.ravel())
+    coarse = (log_sum_exp(log_terms[(slice(None, None, 2),) * d])
+              + d * math.log(2.0))
     if abs(fine - coarse) >= ORACLE_CONVERGENCE_TOL:
         raise OracleNotConvergedError("oracle not converged")
     return fine

@@ -46,11 +46,22 @@ class LevelPolicy:
     escalation_cap: float = 0.9
     max_escalations: int = 10
 
+    def __post_init__(self):
+        # each test is written so that a NaN fails it
+        if not (0 < self.f_init < 1 and 0 < self.f_max < 1):
+            raise ValueError("f_init and f_max must lie in (0, 1)")
+        if not self.f_slope >= 0:
+            raise ValueError("f_slope must be >= 0")
+        if not self.escalation_factor > 1:
+            raise ValueError("escalation_factor must be > 1")
+        if not 0 < self.escalation_cap < 1:
+            raise ValueError("escalation_cap must lie in (0, 1)")
+        if not self.max_escalations >= 0:
+            raise ValueError("max_escalations must be >= 0")
+
     def fraction(self, iteration):
-        f = min(self.f_max, self.f_init + self.f_slope * (iteration - 1))
-        if not 0.0 < f < 1.0:
-            raise ValueError("rejection fraction outside (0, 1)")
-        return f
+        """f(iteration), in (0, 1) for every iteration >= 1."""
+        return min(self.f_max, self.f_init + self.f_slope * (iteration - 1))
 
 
 @dataclass
@@ -61,9 +72,9 @@ class StoppingPolicy:
     max_evals: int = 20000
 
     def __post_init__(self):
-        if min(self.delta_evidence_tol, self.chi_tol) <= 0:
+        if not (self.delta_evidence_tol > 0 and self.chi_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iterations <= 0 or self.max_evals <= 0:
+        if not (self.max_iterations > 0 and self.max_evals > 0):
             raise ValueError("iteration/eval caps must be positive")
 
 

@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
+                       grid_log_evidence, run_lla_is, run_lla_mcmc,
+                       run_lla_ss, run_mc, run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
                             DegenerateWeightsError, EmptyTraceError,
                             LevelTrace, effective_sample_size, evidence_update,
@@ -188,6 +191,48 @@ class TestCountingLikelihood:
         for i in range(7):
             fn(np.array([float(i)]))
         assert fn.count == 7
+
+    def test_rows_equal_calls_and_count(self):
+        problem = BayesianProblem(
+            dimension=2, priors=[normal_prior(0.0, 1.0)] * 2,
+            log_likelihood=lambda t: -0.5 * float(t @ t) + math.sin(t[0]))
+        x = problem.sample_prior(np.random.default_rng(4), 50)
+        batch, single = (CountingLikelihood(problem.log_likelihood)
+                         for _ in range(2))
+        values = batch.rows(x)
+        assert values.dtype == float and values.shape == (50,)
+        assert values.tolist() == [single(t) for t in x]
+        assert batch.count == single.count == 50
+
+    def test_empty_rows(self):
+        fn = CountingLikelihood(lambda t: 0.0)
+        values = fn.rows(np.empty((0, 3)))
+        assert values.dtype == float and values.shape == (0,)
+        assert fn.count == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_plus_inf_raise(self, bad):
+        fn = CountingLikelihood(lambda t: bad if t[0] > 0.5 else NEG_INF)
+        assert fn(np.array([0.1])) == NEG_INF
+        with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
+            fn(np.array([0.75]))
+        with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
+            fn.rows(np.array([[0.25], [0.75], [1.0]]))
+
+    @pytest.mark.parametrize("run", [
+        lambda p: run_mc(p, 2000, 0),
+        lambda p: run_nested(p, NestedConfig(), 0),
+        lambda p: run_lla_is(p, ISConfig(), 0),
+        lambda p: run_lla_ss(p, SSConfig(), 0),
+        lambda p: run_lla_mcmc(p, MCMCConfig(), 0),
+        grid_log_evidence,
+    ], ids=["mc", "nested", "lla_is", "lla_ss", "lla_mcmc", "grid"])
+    def test_nan_likelihood_stops_every_estimator(self, run):
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: math.nan if t[0] > 0.99 else 0.0)
+        with pytest.raises(ValueError, match="log-likelihood nan"):
+            run(problem)
 
 
 class TestLevelTrace:

@@ -165,3 +165,11 @@ class TestRunLLAIS:
             ISConfig(n_initial=5)
         with pytest.raises(ValueError):
             ISConfig(stddev_multiplier=0.0)
+        for bad in ({"stddev_multiplier": math.nan},
+                    {"ess_threshold_fraction": math.nan},
+                    {"ess_threshold_fraction": -1.0},
+                    {"ess_threshold_fraction": 1.5},
+                    {"stddev_override": 0.0},
+                    {"stddev_override": math.nan}):
+            with pytest.raises(ValueError):
+                ISConfig(**bad)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
-                            normal_prior, uniform_prior)
+from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
+                            TerminationReason, normal_prior, uniform_prior)
 from levidence.lla_mcmc import (COMPONENT_WISE_DIMENSION, KernelConfig,
                                 LevelUnreachableError, MCMCConfig,
                                 _log_prior_terms, chi_mcmc,
@@ -89,7 +89,7 @@ def _random_step(state, log_L, log_p, lam, scale, problem, logL_fn, rng):
     delta = scale * rng.standard_normal(state.shape)
     log_u = np.log(rng.uniform(size=log_p.shape))
     return constrained_mh_step(state, log_L, log_p, lam, delta, log_u,
-                               logL_fn, problem)
+                               CountingLikelihood(logL_fn), problem)
 
 
 class TestConstrainedMHStep:
@@ -178,7 +178,7 @@ class TestReplenish:
         log_L = np.array([problem.log_likelihood(t) for t in passing])
         lam = math.log(2.0 * 0.7)
         s, ll = replenish(passing, log_L, lam, np.array([0.1]), False, 3,
-                          problem, problem.log_likelihood,
+                          problem, CountingLikelihood(problem.log_likelihood),
                           [(0, 1, chain) for chain in range(5)])
         assert s.shape == (5, 1)
         assert ll.shape == (5,)
@@ -189,7 +189,7 @@ class TestReplenish:
         with pytest.raises(LevelUnreachableError):
             replenish(np.empty((0, 1)), np.empty(0), 0.0,
                       np.array([0.1]), False, 1, problem,
-                      problem.log_likelihood, [(0, 1, 0)])
+                      CountingLikelihood(problem.log_likelihood), [(0, 1, 0)])
 
     @pytest.mark.parametrize("d", [1, 3, 10, 12])
     def test_rows_equal_lone_paths(self, d):
@@ -204,7 +204,7 @@ class TestReplenish:
         def run(paths):
             return replenish(passing, passing_log_L, lam, stddev,
                              component_wise, steps, problem,
-                             problem.log_likelihood, paths)
+                             CountingLikelihood(problem.log_likelihood), paths)
 
         paths = [(5, 2, chain) for chain in range(30)]
         del seen[:]
@@ -242,7 +242,7 @@ class TestReplenish:
         start = np.full((1, d), 0.05)
         start[0, 0] = 0.95
         s, ll = replenish(start, np.array([0.95]), 0.5, stddev, True, 200,
-                          problem, problem.log_likelihood,
+                          problem, CountingLikelihood(problem.log_likelihood),
                           [(9, chain) for chain in range(1000)])
         assert np.all(s[:, 0] > 0.5)
         assert np.all((s >= 0.0) & (s <= 1.0))

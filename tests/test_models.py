@@ -7,9 +7,22 @@ import pytest
 
 from levidence.core import BayesianProblem, normal_prior, uniform_prior
 from levidence.models import (BENCHMARK_NAMES, ConjugateGaussianProblem,
-                              OracleNotConvergedError, QuadratureOracle,
+                              OracleNotConvergedError,
                               conjugate_exact_log_evidence, grid_log_evidence,
                               make_benchmark)
+
+
+def _counted(problem):
+    """The problem with its likelihood wrapped in a call counter."""
+    calls = [0]
+    log_likelihood = problem.log_likelihood
+
+    def counted(theta):
+        calls[0] += 1
+        return log_likelihood(theta)
+
+    problem.log_likelihood = counted
+    return problem, calls
 
 
 class TestConjugateExact:
@@ -34,9 +47,12 @@ class TestConjugateExact:
     def test_matches_quadrature(self):
         p = ConjugateGaussianProblem(data=np.array([0.3, -0.2, 0.5]),
                                      mu0=0.0, sigma0=1.0, sigma=0.7)
-        grid = grid_log_evidence(p.to_bayesian_problem())
+        problem, calls = _counted(p.to_bayesian_problem())
+        grid = grid_log_evidence(problem)
         assert grid == pytest.approx(conjugate_exact_log_evidence(p),
                                      abs=1e-6)
+        # the fine grid alone, each node once
+        assert calls[0] == 2 * 2001 - 1
 
     def test_invalid_scales_raise(self):
         with pytest.raises(ValueError):
@@ -55,16 +71,16 @@ class TestConjugateExact:
 class TestGridOracle:
     def test_2d_product_gaussian(self):
         # likelihood N(y|theta, I) with y = 0: evidence is N(0; 0, 2I)
-        problem = BayesianProblem(
+        problem, calls = _counted(BayesianProblem(
             dimension=2,
             priors=[normal_prior(0.0, 1.0), normal_prior(0.0, 1.0)],
             log_likelihood=lambda t: -math.log(2.0 * math.pi)
             - 0.5 * float(t @ t),
-        )
+        ))
         expect = 2 * (-0.5 * math.log(2.0 * math.pi * 2.0))
-        oracle = QuadratureOracle(nodes_per_dim=1001)
-        assert grid_log_evidence(problem, oracle) == pytest.approx(expect,
-                                                                   abs=1e-6)
+        assert grid_log_evidence(problem, nodes_per_dim=1001) == \
+            pytest.approx(expect, abs=1e-6)
+        assert calls[0] == (2 * 1001 - 1) ** 2
 
     def test_high_dimension_rejected(self):
         problem = BayesianProblem(
@@ -74,8 +90,11 @@ class TestGridOracle:
             grid_log_evidence(problem)
 
     def test_too_few_nodes_rejected(self):
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0, 1)],
+            log_likelihood=lambda t: 0.0)
         with pytest.raises(ValueError):
-            QuadratureOracle(nodes_per_dim=101)
+            grid_log_evidence(problem, nodes_per_dim=101)
 
     def test_nonconvergence_detected(self):
         # a spike narrower than the grid spacing cannot converge
@@ -84,7 +103,7 @@ class TestGridOracle:
             log_likelihood=lambda t: 30.0
             if abs(t[0] - 0.5) < 1e-7 else 0.0)
         with pytest.raises(OracleNotConvergedError):
-            grid_log_evidence(problem, QuadratureOracle(nodes_per_dim=1001))
+            grid_log_evidence(problem, nodes_per_dim=1001)
 
 
 class TestBenchmarks:

@@ -1,5 +1,6 @@
 """Unit tests for level selection, the stopping criteria and the loop."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +21,18 @@ class TestLevelPolicy:
         assert pol.fraction(100) == pytest.approx(0.3)
 
     def test_fraction_outside_unit_interval_raises(self):
-        pol = LevelPolicy(f_init=0.0, f_slope=0.0, f_max=0.5)
-        with pytest.raises(ValueError):
-            pol.fraction(1)
+        with pytest.raises(ValueError, match="f_init"):
+            LevelPolicy(f_init=0.0, f_slope=0.0, f_max=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("f_init", math.nan), ("f_init", 1.0), ("f_max", 0.0),
+        ("f_max", math.nan), ("f_slope", -0.1), ("f_slope", math.nan),
+        ("escalation_factor", 1.0), ("escalation_factor", 0.5),
+        ("escalation_factor", math.nan), ("escalation_cap", 1.0),
+        ("escalation_cap", math.nan), ("max_escalations", -1)])
+    def test_invalid_policy_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LevelPolicy(**{field: value})
 
 
 class TestSelectLevel:
@@ -144,6 +154,10 @@ class TestShouldStop:
             StoppingPolicy(chi_tol=0.0)
         with pytest.raises(ValueError):
             StoppingPolicy(max_evals=0)
+        for field in ("delta_evidence_tol", "chi_tol", "max_iterations",
+                      "max_evals"):
+            with pytest.raises(ValueError):
+                StoppingPolicy(**{field: math.nan})
 
 
 class _Halving(LevelStrategy):
