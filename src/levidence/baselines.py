@@ -10,9 +10,10 @@ import numpy as np
 
 # evidence_update, should_stop and constrained_mh_step are called elsewhere;
 # perfbench/layers.py wraps them here, so they stay imported
-from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
-                   TerminationReason, evidence_update, finalize_estimate,
-                   log_sum_exp, shell_statistics)
+from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
+                   CountingLikelihood, LevelTrace, TerminationReason,
+                   evidence_update, finalize_estimate, log_sum_exp,
+                   shell_statistics)
 from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
                        replenish)
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
@@ -29,8 +30,8 @@ class NestedConfig:
         default_factory=lambda: KernelConfig(steps_per_sample=NESTED_WALK_STEPS))
 
     def __post_init__(self):
-        if self.n_live < 2:
-            raise ValueError("n_live must be >= 2")
+        if not self.n_live >= 2:
+            raise ConfigFieldError("n_live", "n_live must be >= 2")
 
 
 def run_mc(problem, n, seed):
@@ -65,7 +66,7 @@ class _NestedLevels(LevelStrategy):
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
-        self.stddev, self.component_wise = config.kernel.resolve(problem)
+        self.stddev = config.kernel.resolve(problem)
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.live = problem.sample_prior(rng0, config.n_live)
         self.live_log_L = self.logL_fn.rows(self.live)
@@ -84,8 +85,8 @@ class _NestedLevels(LevelStrategy):
         above = self.live_log_L > log_lambda
         (new,), (new_log_L,) = replenish(
             self.live[above], self.live_log_L[above], log_lambda, self.stddev,
-            self.component_wise, self.config.kernel.steps_per_sample,
-            self.problem, self.logL_fn, [(self.seed, iteration)])
+            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
+            [(self.seed, iteration)])
         x = math.exp(-iteration / self.config.n_live)
         dead = self.live[[self.worst]]
         self.live[self.worst] = new

@@ -177,11 +177,13 @@ def _check_seed(seed, path, line):
 
 
 def _build(cfg, name, cls, values, **given):
-    """cls(**given, **values); its validation errors point at [name]."""
+    """cls(**given, **values); a rejected field points at its key in [name],
+    or at the header when the file does not set it."""
     try:
         return cls(**given, **values)
-    except ValueError as exc:
-        raise ConfigError(cfg["path"], _key_line(cfg["path"], name), str(exc))
+    except ConfigFieldError as exc:
+        raise ConfigError(cfg["path"], _key_line(cfg["path"], name, exc.field),
+                          str(exc))
 
 
 def _config(cfg, name, cls, **given):

@@ -22,10 +22,6 @@ class DegenerateWeightsError(ValueError):
     pass
 
 
-class EmptyTraceError(ValueError):
-    pass
-
-
 class ConfigFieldError(ValueError):
     """A config value that does not fit the problem, with its field's name."""
 
@@ -187,8 +183,8 @@ class BayesianProblem:
     def log_prior(self, theta):
         """Log prior density of one vector, or of each row of an (n, d) array."""
         # a plain loop, not sum() over a generator: on one vector it is the
-        # faster form, and replenish's scalar step (nested's lone chain)
-        # calls it once per step; the array step calls it on all rows
+        # faster form, and replenish's full-vector scalar step (nested's lone
+        # chain) calls it once per step; the array step calls it on all rows
         total = 0.0
         for p, x in zip(self.priors, np.asarray(theta, dtype=float).T):
             total += p.log_pdf(x)
@@ -309,7 +305,9 @@ def posterior_moments(trace, log_evidence):
     """Shell-weighted posterior mean and variance.
 
     Weights are exp(log_increment - log_evidence); shells without samples
-    carry no weight.  Variance is clamped at zero elementwise.
+    carry no weight.  Variance is clamped at zero elementwise.  Returns
+    (None, None) when no shell carries weight, as shell_statistics does for
+    an empty shell.
     """
     pairs = [
         (li, m, s2)
@@ -318,7 +316,7 @@ def posterior_moments(trace, log_evidence):
         if m is not None and li > NEG_INF
     ]
     if not pairs or log_evidence == NEG_INF:
-        raise EmptyTraceError("no shells accumulated")
+        return None, None
     w = np.array([math.exp(li - log_evidence) for li, _, _ in pairs])
     w = w / w.sum()
     means = np.array([m for _, m, _ in pairs], dtype=float)
@@ -331,11 +329,9 @@ def posterior_moments(trace, log_evidence):
 def finalize_estimate(trace, reason, total_evals, dimension):
     """Build an EvidenceEstimate, falling back to NaN moments on empty shells."""
     log_E = trace.log_evidence
-    try:
-        mean, var = posterior_moments(trace, log_E)
-    except EmptyTraceError:
-        mean = np.full(dimension, np.nan)
-        var = np.full(dimension, np.nan)
+    mean, var = posterior_moments(trace, log_E)
+    if mean is None:
+        mean, var = np.full(dimension, np.nan), np.full(dimension, np.nan)
     return EvidenceEstimate(
         log_evidence=log_E,
         trace=trace,

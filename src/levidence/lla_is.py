@@ -19,18 +19,14 @@ from scipy import stats
 from . import core
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
-from .core import (NEG_INF, TerminationReason,  # noqa: F401
-                   effective_sample_size, evidence_update, finalize_estimate,
-                   log_sum_exp, shell_statistics)
+from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
+                   TerminationReason, effective_sample_size, evidence_update,
+                   finalize_estimate, log_sum_exp, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
 
 STDDEV_FLOOR_FRACTION = 1e-8
-
-
-class InsufficientSamplesError(ValueError):
-    pass
 
 
 @dataclass
@@ -73,21 +69,26 @@ class ISConfig:
     stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
 
     def __post_init__(self):
-        if self.n_initial < 10:
-            raise ValueError("n_initial must be at least 10")
+        if not self.n_initial >= 10:
+            raise ConfigFieldError("n_initial",
+                                   "n_initial must be at least 10")
         if not 0 <= self.ess_threshold_fraction <= 1:
-            raise ValueError("ess_threshold_fraction must lie in [0, 1]")
+            raise ConfigFieldError("ess_threshold_fraction",
+                                   "ess_threshold_fraction must lie in [0, 1]")
         if not self.stddev_multiplier > 0:
-            raise ValueError("stddev_multiplier must be positive")
+            raise ConfigFieldError("stddev_multiplier",
+                                   "stddev_multiplier must be positive")
         if not (self.stddev_override is None or self.stddev_override > 0):
-            raise ValueError("stddev_override must be positive")
+            raise ConfigFieldError("stddev_override",
+                                   "stddev_override must be positive")
 
 
 def fit_isd(retained_samples, multiplier, prior_support, stddev_override=None):
-    """Importance density from survivor mean and inflated sample stddev."""
+    """Importance density from survivor mean and inflated sample stddev;
+    None from fewer than two samples."""
     samples = np.atleast_2d(np.asarray(retained_samples, dtype=float))
     if samples.shape[0] < 2:
-        raise InsufficientSamplesError("insufficient samples for ISD")
+        return None
     mean = samples.mean(axis=0)
     if stddev_override is not None:
         stddev = np.full(samples.shape[1], float(stddev_override))
@@ -165,14 +166,14 @@ class _ISLevels(LevelStrategy):
                 None, NEG_INF)
 
     def advance(self, iteration, log_lambda, trace):
-        retained = self.samples[self.log_L > log_lambda]
-        try:
-            self.isd = fit_isd(retained, self.config.stddev_multiplier,
-                               self.problem.support,
-                               stddev_override=self.config.stddev_override)
-        except InsufficientSamplesError:
-            if self.isd is None:
-                raise StopRun(TerminationReason.degenerate_level)
+        isd = fit_isd(self.samples[self.log_L > log_lambda],
+                      self.config.stddev_multiplier, self.problem.support,
+                      stddev_override=self.config.stddev_override)
+        if isd is not None:
+            self.isd = isd
+        elif self.isd is None:
+            raise StopRun(TerminationReason.degenerate_level)
+        else:
             warnings.warn("too few survivors to refit ISD; reusing previous",
                           RuntimeWarning)
 

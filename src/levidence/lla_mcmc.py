@@ -11,7 +11,9 @@ so prior-rejected proposals cost no likelihood evaluations.  Up to
 COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
 coordinate accepts on its own prior ratio.  replenish is the only code that
 moves a chain: nested sampling's one replacement per iteration is a batch of
-one, which steps on the lone vector with the same draws.
+one, which steps on the lone vector and on scalars with the same draws, in
+either mode.  A level with no survivor ends the run with
+StopRun(degenerate_level).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import numpy as np
 
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
-from .core import (NEG_INF, TerminationReason, evidence_update,  # noqa: F401
-                   finalize_estimate, shell_statistics)
+from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
+                   TerminationReason, evidence_update, finalize_estimate,
+                   shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -31,26 +34,18 @@ from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
 COMPONENT_WISE_DIMENSION = 10
 
 
-class LevelUnreachableError(StopRun):
-    """No sample survives above the level to start a chain from."""
-
-    def __init__(self, message):
-        super().__init__(TerminationReason.degenerate_level, message)
-
-
 @dataclass
 class KernelConfig:
     steps_per_sample: int = 5
 
     def __post_init__(self):
-        if self.steps_per_sample < 1:
-            raise ValueError("steps_per_sample must be >= 1")
+        if not self.steps_per_sample >= 1:
+            raise ConfigFieldError("steps_per_sample",
+                                   "steps_per_sample must be >= 1")
 
     def resolve(self, problem):
-        """Proposal stddev, a quarter of each prior stddev, and whether to
-        sweep coordinate by coordinate (above COMPONENT_WISE_DIMENSION)."""
-        return (0.25 * np.array([p.std for p in problem.priors]),
-                problem.dimension > COMPONENT_WISE_DIMENSION)
+        """Proposal stddev, a quarter of each prior stddev."""
+        return 0.25 * np.array([p.std for p in problem.priors])
 
 
 @dataclass
@@ -64,7 +59,8 @@ class MCMCConfig:
 
     def __post_init__(self):
         if not 1 <= self.n_replace < self.n_samples:
-            raise ValueError("need 1 <= n_replace < n_samples")
+            raise ConfigFieldError("n_replace",
+                                   "need 1 <= n_replace < n_samples")
 
 
 def _log_prior_terms(problem, x):
@@ -104,7 +100,7 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
 
 
 def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
-              component_wise, steps_per_sample, problem, logL_fn, seed_paths):
+              steps_per_sample, problem, logL_fn, seed_paths):
     """Replacement samples above the level, one short chain per seed path.
 
     Each chain starts at a survivor drawn by its own generator, seeded from
@@ -112,16 +108,19 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     all chains advance together as the rows of one array.  A chain's draws do
     not depend on its state, so they are taken up front: the start index,
     then per step a standard normal vector and one uniform, or d uniforms
-    when moves are component-wise.  A lone full-vector chain, as in nested
-    sampling, steps on its vector and scalars instead: numpy's per-call cost
-    on a one-row array exceeds the step's own work there, and the draws and
-    the arithmetic are the same, so its row is the one the array step gives.
+    when moves are component-wise (above COMPONENT_WISE_DIMENSION).  A lone
+    chain, as in nested sampling, steps on its vector and scalars instead:
+    numpy's per-call cost on a one-row array exceeds the step's own work
+    there, and the draws and the arithmetic are the same, so its row is the
+    one the array step gives.
     """
     if len(passing) == 0:
-        raise LevelUnreachableError("level unreachable: no surviving samples")
+        raise StopRun(TerminationReason.degenerate_level,
+                      "level unreachable: no surviving samples")
     if len(seed_paths) < 1:
         raise ValueError("need at least one chain")
     n, d = len(seed_paths), problem.dimension
+    component_wise = d > COMPONENT_WISE_DIMENSION
     u_size = d if component_wise else None
     starts = np.empty(n, dtype=np.intp)
     z = np.empty((steps_per_sample, n, d))
@@ -137,8 +136,25 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     log_u = np.log(u, out=u)
 
     state, log_L = passing[starts], passing_log_L[starts]
-    if n == 1 and not component_wise:
-        # the scalar step: constrained_mh_step's tests, in its order
+    if n == 1 and component_wise:
+        # the component-wise scalar step: constrained_mh_step's tests, in
+        # its order, with each coordinate's log prior taken on its scalar
+        priors, x, x_log_L = problem.priors, state[0], log_L[0]
+        x_terms = np.array([p.log_pdf(v) for p, v in zip(priors, x.tolist())])
+        for s in range(steps_per_sample):
+            eta = x + delta[s, 0]
+            eta_terms = np.array([p.log_pdf(v)
+                                  for p, v in zip(priors, eta.tolist())])
+            accept = log_u[s, 0] < eta_terms - x_terms
+            candidate = np.where(accept, eta, x)
+            if not np.array_equal(candidate, x):
+                candidate_log_L = logL_fn(candidate)
+                if candidate_log_L > log_lambda:
+                    x, x_log_L = candidate, candidate_log_L
+                    x_terms = np.where(accept, eta_terms, x_terms)
+        return x[None], np.array([x_log_L])
+    if n == 1:
+        # the full-vector scalar step: constrained_mh_step's tests, in order
         x, x_log_L, x_log_p = state[0], log_L[0], problem.log_prior(state[0])
         for s in range(steps_per_sample):
             eta = x + delta[s, 0]
@@ -170,8 +186,7 @@ class _MCMCLevels(LevelStrategy):
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
-        self.kernel_stddev, self.component_wise = config.kernel.resolve(
-            problem)
+        self.kernel_stddev = config.kernel.resolve(problem)
         f = config.n_replace / config.n_samples
         self.level_policy = LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -194,8 +209,8 @@ class _MCMCLevels(LevelStrategy):
         n_new = self.config.n_samples - int(passing.sum())
         new_samples, new_log_L = replenish(
             self.samples[passing], self.log_L[passing], log_lambda,
-            self.kernel_stddev, self.component_wise,
-            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
+            self.kernel_stddev, self.config.kernel.steps_per_sample,
+            self.problem, self.logL_fn,
             [(self.seed, iteration, chain) for chain in range(n_new)])
         self.samples = np.vstack([self.samples[passing], new_samples])
         self.log_L = np.concatenate([self.log_L[passing], new_log_L])

@@ -55,11 +55,13 @@ class SSConfig:
     stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
 
     def __post_init__(self):
+        if not all(c >= 1 for c in self.per_dim_counts):
+            raise ConfigFieldError("per_dim_counts", "per-dimension stratum "
+                                   "counts must be >= 1")
         self.per_dim_counts = tuple(int(c) for c in self.per_dim_counts)
-        if any(c < 1 for c in self.per_dim_counts):
-            raise ValueError("per-dimension stratum counts must be >= 1")
-        if self.n_per_iteration < 1:
-            raise ValueError("n_per_iteration must be >= 1")
+        if not self.n_per_iteration >= 1:
+            raise ConfigFieldError("n_per_iteration",
+                                   "n_per_iteration must be >= 1")
 
 
 def build_strata(problem, per_dim_counts):

@@ -2,7 +2,10 @@
 
 `run_levels` is the one rectangle-rule loop over iso-likelihood levels.
 Each estimator plugs into it as a `LevelStrategy` that differs only in how
-it draws samples and estimates the prior mass chi above each level.
+it draws samples and estimates the prior mass chi above each level.  Every
+run ends with a `TerminationReason`: either `should_stop` returns one, or a
+step raises `StopRun(reason)`, the one exception the package raises to catch
+itself; `run_levels` is where every stop arrives.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (NEG_INF, CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, shell_statistics)
+from .core import (NEG_INF, ConfigFieldError, CountingLikelihood, LevelTrace,
+                   TerminationReason, evidence_update, finalize_estimate,
+                   shell_statistics)
 
 
 class StopRun(RuntimeError):
@@ -21,13 +25,6 @@ class StopRun(RuntimeError):
     def __init__(self, reason, message=None):
         super().__init__(message or reason.value)
         self.reason = reason
-
-
-class DegenerateLevelError(StopRun):
-    """No strictly higher level can be selected from the current samples."""
-
-    def __init__(self, message):
-        super().__init__(TerminationReason.degenerate_level, message)
 
 
 @dataclass
@@ -48,16 +45,21 @@ class LevelPolicy:
 
     def __post_init__(self):
         # each test is written so that a NaN fails it
-        if not (0 < self.f_init < 1 and 0 < self.f_max < 1):
-            raise ValueError("f_init and f_max must lie in (0, 1)")
+        if not 0 < self.f_init < 1:
+            raise ConfigFieldError("f_init", "f_init must lie in (0, 1)")
+        if not 0 < self.f_max < 1:
+            raise ConfigFieldError("f_max", "f_max must lie in (0, 1)")
         if not self.f_slope >= 0:
-            raise ValueError("f_slope must be >= 0")
+            raise ConfigFieldError("f_slope", "f_slope must be >= 0")
         if not self.escalation_factor > 1:
-            raise ValueError("escalation_factor must be > 1")
+            raise ConfigFieldError("escalation_factor",
+                                   "escalation_factor must be > 1")
         if not 0 < self.escalation_cap < 1:
-            raise ValueError("escalation_cap must lie in (0, 1)")
+            raise ConfigFieldError("escalation_cap",
+                                   "escalation_cap must lie in (0, 1)")
         if not self.max_escalations >= 0:
-            raise ValueError("max_escalations must be >= 0")
+            raise ConfigFieldError("max_escalations",
+                                   "max_escalations must be >= 0")
 
     def fraction(self, iteration):
         """f(iteration), in (0, 1) for every iteration >= 1."""
@@ -72,18 +74,18 @@ class StoppingPolicy:
     max_evals: int = 20000
 
     def __post_init__(self):
-        if not (self.delta_evidence_tol > 0 and self.chi_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not (self.max_iterations > 0 and self.max_evals > 0):
-            raise ValueError("iteration/eval caps must be positive")
+        for name in ("delta_evidence_tol", "chi_tol", "max_iterations",
+                     "max_evals"):
+            if not getattr(self, name) > 0:
+                raise ConfigFieldError(name, "%s must be positive" % name)
 
 
 def select_level(sorted_log_likelihoods, policy, iteration, log_lambda_prev):
     """Pick the next level as the ceil(f*N)-th lowest pooled log-likelihood.
 
     Escalates f when the order statistic fails to strictly exceed the
-    previous level; raises DegenerateLevelError when escalation is exhausted.
-    Returns (log_lambda_new, n_reject).
+    previous level; raises StopRun(degenerate_level) when escalation is
+    exhausted.  Returns (log_lambda_new, n_reject).
     """
     xs = sorted_log_likelihoods
     n = len(xs)
@@ -98,8 +100,8 @@ def select_level(sorted_log_likelihoods, policy, iteration, log_lambda_prev):
         if f >= policy.escalation_cap:
             break
         f = min(f * policy.escalation_factor, policy.escalation_cap)
-    raise DegenerateLevelError(
-        "no likelihood value strictly exceeds the previous level")
+    raise StopRun(TerminationReason.degenerate_level,
+                  "no likelihood value strictly exceeds the previous level")
 
 
 def should_stop(trace, policy, last_log_increment):
@@ -107,7 +109,8 @@ def should_stop(trace, policy, last_log_increment):
 
     Order: relative evidence change, chi floor, iteration cap, eval cap.
     The relative change is that of last_log_increment against the trace's
-    running log-evidence.  Returns (stop, reason-or-None).
+    running log-evidence.  Returns the first criterion's TerminationReason
+    that holds, or None to go on.
     """
     if len(trace) == 0:
         raise ValueError("stopping policy needs at least one iteration")
@@ -117,14 +120,14 @@ def should_stop(trace, policy, last_log_increment):
         # information, so only real increments can satisfy this criterion
         rel_change = math.exp(min(last_log_increment - log_E, 0.0))
         if rel_change < policy.delta_evidence_tol:
-            return True, TerminationReason.delta_evidence
+            return TerminationReason.delta_evidence
     if trace.chi_current < policy.chi_tol:
-        return True, TerminationReason.chi_floor
+        return TerminationReason.chi_floor
     if len(trace) >= policy.max_iterations:
-        return True, TerminationReason.max_iterations
+        return TerminationReason.max_iterations
     if trace.n_evals[-1] >= policy.max_evals:
-        return True, TerminationReason.max_evals
-    return False, None
+        return TerminationReason.max_evals
+    return None
 
 
 class LevelStrategy:
@@ -177,9 +180,9 @@ def run_levels(strategy):
             trace.add_level(log_lambda, chi, log_inc,
                             *shell_statistics(shell, weights),
                             strategy.logL_fn.count)
-            stop, reason = should_stop(trace, strategy.config.stopping,
-                                       max(log_inc, log_bound))
-            if stop:
+            reason = should_stop(trace, strategy.config.stopping,
+                                 max(log_inc, log_bound))
+            if reason is not None:
                 break
             strategy.advance(iteration, log_lambda, trace)
     except StopRun as exc:

@@ -154,5 +154,6 @@ class TestRunNested:
         assert est.total_evals <= 500 + NESTED_WALK_STEPS
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            NestedConfig(n_live=1)
+        for n in (1, math.nan):
+            with pytest.raises(ValueError, match="n_live"):
+                NestedConfig(n_live=n)

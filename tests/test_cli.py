@@ -147,16 +147,15 @@ class TestLoadConfig:
             (HIGHDIM_SS_CONFIG + "\n[lla_ss]\nn_per_iteration = 100\n"
              "per_dim_counts = 5\n", [],
              "a.ini:8: per_dim_counts gives 78886"),
-            # values out of range, NaN included, exit 2 at their section
-            # or key
+            # values out of range, NaN included, exit 2 at their key
             (IS_CONFIG + "\n[level]\nmax_escalations = -1\n", [],
-             "a.ini:9: max_escalations must be >= 0"),
+             "a.ini:10: max_escalations must be >= 0"),
             (IS_CONFIG + "\n[stopping]\ndelta_evidence_tol = nan\n", [],
-             "a.ini:9: tolerances must be positive"),
+             "a.ini:10: delta_evidence_tol must be positive"),
             (IS_CONFIG + "\n[stopping]\nchi_tol = nan\n", [],
-             "a.ini:9: tolerances must be positive"),
+             "a.ini:10: chi_tol must be positive"),
             (IS_CONFIG + "stddev_multiplier = nan\n", [],
-             "a.ini:6: stddev_multiplier must be positive"),
+             "a.ini:8: stddev_multiplier must be positive"),
             (MC_CONFIG.replace("n = 2000", "n = 0"), [],
              "a.ini:8: n must be >= 1"),
             # configparser would copy [DEFAULT] into every section

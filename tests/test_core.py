@@ -10,8 +10,8 @@ from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
                        grid_log_evidence, run_lla_is, run_lla_mcmc,
                        run_lla_ss, run_mc, run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            DegenerateWeightsError, EmptyTraceError,
-                            LevelTrace, effective_sample_size, evidence_update,
+                            DegenerateWeightsError, LevelTrace,
+                            effective_sample_size, evidence_update,
                             finalize_estimate, log_sum_exp, normal_prior,
                             posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
@@ -282,9 +282,8 @@ class TestPosteriorMoments:
         _, var = posterior_moments(t, 0.0)
         assert var[0] == 0.0
 
-    def test_empty_trace_raises(self):
-        with pytest.raises(EmptyTraceError):
-            posterior_moments(LevelTrace(), 0.0)
+    def test_empty_trace_gives_none(self):
+        assert posterior_moments(LevelTrace(), 0.0) == (None, None)
 
 
 class TestShellStatistics:

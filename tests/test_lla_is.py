@@ -7,8 +7,8 @@ import pytest
 
 from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
                             normal_prior, uniform_prior)
-from levidence.lla_is import (GaussianISD, ISConfig, InsufficientSamplesError,
-                              chi_is, fit_isd, run_lla_is)
+from levidence.lla_is import (GaussianISD, ISConfig, chi_is, fit_isd,
+                              run_lla_is)
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
 
@@ -61,8 +61,7 @@ class TestFitISD:
         assert isd.stddev[0] == 0.125
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamplesError):
-            fit_isd(np.array([[1.0]]), 2.0, [(-np.inf, np.inf)])
+        assert fit_isd(np.array([[1.0]]), 2.0, [(-np.inf, np.inf)]) is None
 
     def test_degenerate_spread_floored(self):
         samples = np.array([[0.5], [0.5], [0.5]])
@@ -170,6 +169,7 @@ class TestRunLLAIS:
                     {"ess_threshold_fraction": -1.0},
                     {"ess_threshold_fraction": 1.5},
                     {"stddev_override": 0.0},
-                    {"stddev_override": math.nan}):
+                    {"stddev_override": math.nan},
+                    {"n_initial": math.nan}):
             with pytest.raises(ValueError):
                 ISConfig(**bad)

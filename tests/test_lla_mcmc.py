@@ -8,10 +8,9 @@ import pytest
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
                             TerminationReason, normal_prior, uniform_prior)
 from levidence.lla_mcmc import (COMPONENT_WISE_DIMENSION, KernelConfig,
-                                LevelUnreachableError, MCMCConfig,
-                                _log_prior_terms, chi_mcmc,
+                                MCMCConfig, _log_prior_terms, chi_mcmc,
                                 constrained_mh_step, replenish, run_lla_mcmc)
-from levidence.schedule import StoppingPolicy
+from levidence.schedule import StoppingPolicy, StopRun
 
 
 def _uniform_problem():
@@ -47,20 +46,19 @@ class TestChiMCMC:
 
 class TestKernelConfig:
     def test_default_resolution(self):
-        stddev, cw = KernelConfig().resolve(_gaussian_problem())
+        stddev = KernelConfig().resolve(_gaussian_problem())
         assert stddev[0] == pytest.approx(0.25)
-        assert cw is False
 
-    def test_high_dimension_defaults_component_wise(self):
-        problem = BayesianProblem(
-            dimension=11, priors=[normal_prior(0.0, 1.0)] * 11,
-            log_likelihood=lambda t: 0.0)
-        _, cw = KernelConfig().resolve(problem)
-        assert cw is True
+    def test_scale_follows_each_prior(self):
+        problem = _mixed_problem(11)
+        stddev = KernelConfig().resolve(problem)
+        np.testing.assert_array_equal(
+            stddev, [0.25 * p.std for p in problem.priors])
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            KernelConfig(steps_per_sample=0)
+        for steps in (0, math.nan):
+            with pytest.raises(ValueError, match="steps_per_sample"):
+                KernelConfig(steps_per_sample=steps)
 
 
 def _mixed_problem(d, seen=None):
@@ -177,8 +175,8 @@ class TestReplenish:
         passing = np.array([[0.8], [0.9]])
         log_L = np.array([problem.log_likelihood(t) for t in passing])
         lam = math.log(2.0 * 0.7)
-        s, ll = replenish(passing, log_L, lam, np.array([0.1]), False, 3,
-                          problem, CountingLikelihood(problem.log_likelihood),
+        s, ll = replenish(passing, log_L, lam, np.array([0.1]), 3, problem,
+                          CountingLikelihood(problem.log_likelihood),
                           [(0, 1, chain) for chain in range(5)])
         assert s.shape == (5, 1)
         assert ll.shape == (5,)
@@ -186,15 +184,17 @@ class TestReplenish:
 
     def test_empty_survivors_raise(self):
         problem = _uniform_problem()
-        with pytest.raises(LevelUnreachableError):
+        with pytest.raises(StopRun) as exc:
             replenish(np.empty((0, 1)), np.empty(0), 0.0,
-                      np.array([0.1]), False, 1, problem,
+                      np.array([0.1]), 1, problem,
                       CountingLikelihood(problem.log_likelihood), [(0, 1, 0)])
+        assert exc.value.reason == TerminationReason.degenerate_level
 
-    @pytest.mark.parametrize("d", [1, 3, 10, 12])
+    @pytest.mark.parametrize("d", [1, 3, 10, 11, 12])
     def test_rows_equal_lone_paths(self, d):
-        # a path run alone equals its row of the batch: alone it takes the
-        # scalar step at d <= COMPONENT_WISE_DIMENSION, the array step above
+        # a path run alone takes the scalar step, full-vector up to
+        # COMPONENT_WISE_DIMENSION and component-wise above, and equals its
+        # row of the batch
         seen = []
         problem = _mixed_problem(d, seen)
         passing, passing_log_L, lam = _survivors(problem, 400, d)
@@ -202,8 +202,8 @@ class TestReplenish:
         component_wise = d > COMPONENT_WISE_DIMENSION
 
         def run(paths):
-            return replenish(passing, passing_log_L, lam, stddev,
-                             component_wise, steps, problem,
+            return replenish(passing, passing_log_L, lam, stddev, steps,
+                             problem,
                              CountingLikelihood(problem.log_likelihood), paths)
 
         paths = [(5, 2, chain) for chain in range(30)]
@@ -237,12 +237,12 @@ class TestReplenish:
         problem = BayesianProblem(
             dimension=d, priors=[uniform_prior(0.0, 1.0)] * d,
             log_likelihood=lambda t: float(t[0]))
-        stddev, component_wise = KernelConfig().resolve(problem)
-        assert component_wise
+        assert d > COMPONENT_WISE_DIMENSION
         start = np.full((1, d), 0.05)
         start[0, 0] = 0.95
-        s, ll = replenish(start, np.array([0.95]), 0.5, stddev, True, 200,
-                          problem, CountingLikelihood(problem.log_likelihood),
+        s, ll = replenish(start, np.array([0.95]), 0.5,
+                          KernelConfig().resolve(problem), 200, problem,
+                          CountingLikelihood(problem.log_likelihood),
                           [(9, chain) for chain in range(1000)])
         assert np.all(s[:, 0] > 0.5)
         assert np.all((s >= 0.0) & (s <= 1.0))

@@ -205,7 +205,9 @@ class TestRunLLASS:
         assert np.isfinite(est.log_evidence)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            SSConfig(per_dim_counts=(0,))
-        with pytest.raises(ValueError):
-            SSConfig(n_per_iteration=0)
+        for counts in ((0,), (math.nan,)):
+            with pytest.raises(ValueError, match="stratum counts"):
+                SSConfig(per_dim_counts=counts)
+        for n in (0, math.nan):
+            with pytest.raises(ValueError, match="n_per_iteration"):
+                SSConfig(n_per_iteration=n)

@@ -8,9 +8,9 @@ import pytest
 
 from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
                             TerminationReason, uniform_prior)
-from levidence.schedule import (DegenerateLevelError, LevelPolicy,
-                                LevelStrategy, StoppingPolicy, StopRun,
-                                run_levels, select_level, should_stop)
+from levidence.schedule import (LevelPolicy, LevelStrategy, StoppingPolicy,
+                                StopRun, run_levels, select_level,
+                                should_stop)
 
 
 class TestLevelPolicy:
@@ -62,8 +62,9 @@ class TestSelectLevel:
     def test_degenerate_when_everything_at_previous_level(self):
         xs = np.zeros(50)
         pol = LevelPolicy(f_init=0.1, f_slope=0.0, f_max=0.1)
-        with pytest.raises(DegenerateLevelError):
+        with pytest.raises(StopRun) as exc:
             select_level(xs, pol, 1, 0.0)
+        assert exc.value.reason == TerminationReason.degenerate_level
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
@@ -78,8 +79,9 @@ class TestSelectLevel:
         assert lam == 899.0
         assert n_reject == 900
         # nothing above the cap order statistic -> degeneracy, not f = 1
-        with pytest.raises(DegenerateLevelError):
+        with pytest.raises(StopRun) as exc:
             select_level(xs, pol, 1, 998.5)
+        assert exc.value.reason == TerminationReason.degenerate_level
 
 
 def _trace(chi, log_E_incs, n_evals, iterations=None):
@@ -103,47 +105,45 @@ class TestShouldStop:
         t = LevelTrace()
         t.add_level(0.0, 0.5, 0.0, None, None, 100)
         t.add_level(1.0, 0.4, -20.0, None, None, 200)
-        stop, reason = should_stop(t, self._policy(), -20.0)
-        assert stop and reason == TerminationReason.delta_evidence
+        reason = should_stop(t, self._policy(), -20.0)
+        assert reason == TerminationReason.delta_evidence
 
     def test_delta_skips_zero_increment(self):
         # a clamped nonmonotone chi gives a -inf increment: no information
         t = LevelTrace()
         t.add_level(0.0, 0.5, 0.0, None, None, 100)
         t.add_level(1.0, 0.5, NEG_INF, None, None, 200)
-        stop, reason = should_stop(t, self._policy(), NEG_INF)
-        assert not stop
+        assert should_stop(t, self._policy(), NEG_INF) is None
 
     def test_chi_floor(self):
         t = LevelTrace()
         t.add_level(0.0, 0.004, 0.0, None, None, 100)
-        stop, reason = should_stop(t, self._policy(), 0.0)
-        assert stop and reason == TerminationReason.chi_floor
+        reason = should_stop(t, self._policy(), 0.0)
+        assert reason == TerminationReason.chi_floor
 
     def test_chi_at_tolerance_does_not_stop(self):
         t = LevelTrace()
         t.add_level(0.0, 0.005, 0.0, None, None, 100)
-        stop, _ = should_stop(t, self._policy(), 0.0)
-        assert not stop
+        assert should_stop(t, self._policy(), 0.0) is None
 
     def test_max_iterations(self):
         t = LevelTrace()
         for i in range(3):
             t.add_level(float(i), 0.5, 0.0, None, None, 100)
-        stop, reason = should_stop(t, self._policy(max_iterations=3), 0.0)
-        assert stop and reason == TerminationReason.max_iterations
+        reason = should_stop(t, self._policy(max_iterations=3), 0.0)
+        assert reason == TerminationReason.max_iterations
 
     def test_max_evals(self):
         t = LevelTrace()
         t.add_level(0.0, 0.5, 0.0, None, None, 20000)
-        stop, reason = should_stop(t, self._policy(), 0.0)
-        assert stop and reason == TerminationReason.max_evals
+        reason = should_stop(t, self._policy(), 0.0)
+        assert reason == TerminationReason.max_evals
 
     def test_priority_chi_floor_before_caps(self):
         t = LevelTrace()
         t.add_level(0.0, 0.001, 0.0, None, None, 10**6)
-        stop, reason = should_stop(t, self._policy(), 0.0)
-        assert stop and reason == TerminationReason.chi_floor
+        reason = should_stop(t, self._policy(), 0.0)
+        assert reason == TerminationReason.chi_floor
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
