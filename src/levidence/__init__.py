@@ -10,8 +10,7 @@ from .lla_ss import SSConfig, run_lla_ss
 from .models import (ConjugateGaussianProblem, conjugate_exact_log_evidence,
                      grid_log_evidence, make_benchmark)
 from .schedule import LevelPolicy, StoppingPolicy
-from .selection import (ModelSet, log_bayes_factor,
-                        posterior_model_probabilities)
+from .selection import ModelSet, posterior_model_probabilities
 
 __all__ = [
     "BayesianProblem", "MarginalPrior", "normal_prior",
@@ -21,7 +20,7 @@ __all__ = [
     "EvidenceEstimate", "LevelTrace", "TerminationReason",
     "ConjugateGaussianProblem", "conjugate_exact_log_evidence",
     "grid_log_evidence", "make_benchmark",
-    "ModelSet", "log_bayes_factor", "posterior_model_probabilities",
+    "ModelSet", "posterior_model_probabilities",
 ]
 
 __version__ = "0.1.0"

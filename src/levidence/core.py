@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 NEG_INF = float("-inf")
+# log sqrt(2 pi), computed as scipy.stats computes it for the normal density
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 class DegenerateWeightsError(ValueError):
@@ -43,12 +45,9 @@ def log_sum_exp(xs):
     return float(m + np.log(np.sum(np.exp(xs - m))))
 
 
-def open_uniform(rng, size=None):
-    """Uniform variates restricted to the open interval (0, 1).
-
-    Keeps inverse-CDF sampling away from infinite quantiles.
-    """
-    u = rng.uniform(size=size)
+def clip_open(u):
+    """u clipped to [1e-16, 1 - 1e-16], so that inverse-CDF sampling stays
+    clear of infinite quantiles."""
     return np.clip(u, 1e-16, 1.0 - 1e-16)
 
 
@@ -85,7 +84,8 @@ class MarginalPrior:
 
     log_pdf and inverse_cdf act elementwise on a float or an array and must
     agree; support is a (lo, hi) pair (entries may be infinite).  mean/std
-    are used for proposal scaling and quadrature bounds.
+    set the MCMC proposal scale and the grid oracle's bounds on an infinite
+    support.
     """
 
     log_pdf: Callable
@@ -94,24 +94,21 @@ class MarginalPrior:
     mean: float = 0.0
     std: float = 1.0
 
-    def normalization_defect(self):
-        """|integral of exp(log_pdf) - 1| by adaptive quadrature."""
-        lo, hi = self.support
-        if not np.isfinite(lo):
-            lo = self.mean - 12.0 * self.std
-        if not np.isfinite(hi):
-            hi = self.mean + 12.0 * self.std
-        total, _ = integrate.quad(lambda x: math.exp(self.log_pdf(x)), lo, hi,
-                                  limit=200)
-        return abs(total - 1.0)
+
+def _check_normal(mean, std):
+    if not math.isfinite(mean):
+        raise ValueError("need a finite mean")
+    if not std > 0:
+        raise ValueError("need std > 0")
+    if not math.isfinite(std):
+        raise ValueError("need a finite std")
 
 
 def normal_prior(mean, std):
-    # closed-form density and scipy's ndtri quantile; frozen-distribution
-    # methods carry too much per-call overhead for the samplers' hot loops
+    # closed-form density and ndtri quantile from scipy.special, which is
+    # cheap to import and cheap per call in the samplers' hot loops
     mean, std = float(mean), float(std)
-    if not std > 0:
-        raise ValueError("need std > 0")
+    _check_normal(mean, std)
     log_norm = -0.5 * math.log(2.0 * math.pi) - math.log(std)
     inv2v = 0.5 / (std * std)
 
@@ -135,6 +132,8 @@ def uniform_prior(lo, hi):
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("need hi > lo")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("need finite lo and hi")
     log_density = -math.log(hi - lo)
 
     def log_pdf(x):
@@ -153,19 +152,83 @@ def uniform_prior(lo, hi):
 
 
 def truncated_normal_prior(mean, std, lo, hi):
-    if not std > 0:
-        raise ValueError("need std > 0")
+    """N(mean, std^2) restricted to [lo, hi]; either bound may be infinite."""
+    mean, std, lo, hi = float(mean), float(std), float(lo), float(hi)
+    _check_normal(mean, std)
     if not hi > lo:
         raise ValueError("need hi > lo")
-    a, b = (lo - mean) / std, (hi - mean) / std
-    d = stats.truncnorm(a, b, loc=mean, scale=std)
+    d = _TruncatedNormal(mean, std, lo, hi)
+    d_mean, d_std = d.moments()
     return MarginalPrior(
-        log_pdf=d.logpdf,
-        inverse_cdf=d.ppf,
-        support=(float(lo), float(hi)),
-        mean=float(d.mean()),
-        std=float(d.std()),
+        log_pdf=d.log_pdf,
+        inverse_cdf=d.inverse_cdf,
+        support=(lo, hi),
+        mean=d_mean,
+        std=d_std,
     )
+
+
+class _TruncatedNormal:
+    """N(loc, scale^2) restricted to [lo, hi], from scipy.special alone.
+
+    Each formula is SciPy 1.17's scipy.stats.truncnorm with the same
+    operations in the same order, so every value equals truncnorm's to the
+    last bit; importing scipy.stats would cost more than the rest of the
+    package.  In standard units the support is [a, b].
+    """
+
+    def __init__(self, loc, scale, lo, hi):
+        self.loc, self.scale = loc, scale
+        self.a, self.b = (lo - loc) / scale, (hi - loc) / scale
+        self.log_mass = _log_gauss_mass(self.a, self.b)
+        self.log_scale = np.log(scale)
+
+    def log_pdf(self, x):
+        """Log density at a float or elementwise on an array; -inf outside
+        the support."""
+        z = (x - self.loc) / self.scale
+        value = (-z * z / 2.0 - _LOG_SQRT_2PI - self.log_mass) - self.log_scale
+        if isinstance(z, np.ndarray):
+            return np.where((z < self.a) | (z > self.b), NEG_INF, value)
+        return np.float64(NEG_INF if z < self.a or z > self.b else value)
+
+    def inverse_cdf(self, u):
+        """Quantile of each u in (0, 1), in the tail where it is accurate."""
+        q = np.asarray(u, dtype=float)
+        if self.a < 0:
+            log_cdf = np.full(q.shape, special.log_ndtr(self.a))
+            z = special.ndtri_exp(special.logsumexp(
+                [log_cdf, np.log(q) + self.log_mass], axis=0))
+        else:
+            log_cdf = np.full(q.shape, special.log_ndtr(-self.b))
+            z = -special.ndtri_exp(special.logsumexp(
+                [log_cdf, np.log1p(-q) + self.log_mass], axis=0))
+        return z * self.scale + self.loc
+
+    def moments(self):
+        """(mean, std) as floats."""
+        a, b = self.a, self.b
+        p_a, p_b = np.exp(-np.array([a, b]) ** 2 / 2.0 - _LOG_SQRT_2PI
+                          - self.log_mass)
+        mu = p_a - p_b
+        # a term whose density is 0 (an infinite bound) is dropped, not
+        # 0 * inf; the two terms are summed before the 1 is added
+        terms = (p_a * (a - mu) if p_a != 0 else 0.0) \
+            + (-p_b * (b - mu) if p_b != 0 else 0.0)
+        var = (1 + terms) * self.scale * self.scale
+        return float(mu * self.scale + self.loc), float(np.sqrt(var))
+
+
+def _log_gauss_mass(a, b):
+    """log(Phi(b) - Phi(a)) for a < b, worked in the left tail."""
+    if b <= 0:
+        log_p, log_q = special.log_ndtr(b), special.log_ndtr(a)
+    elif a > 0:
+        log_p, log_q = special.log_ndtr(-a), special.log_ndtr(-b)
+    else:
+        return special.log1p(-special.ndtr(a) - special.ndtr(-b))
+    # log(p - q) as a complex log-sum-exp, with -q = q e^(i pi)
+    return np.real(special.logsumexp([log_p, log_q + np.pi * 1j], axis=0))
 
 
 @dataclass
@@ -193,7 +256,7 @@ class BayesianProblem:
     def sample_prior(self, rng, n=1):
         out = np.empty((n, self.dimension))
         for k, p in enumerate(self.priors):
-            out[:, k] = p.inverse_cdf(open_uniform(rng, n))
+            out[:, k] = p.inverse_cdf(clip_open(rng.uniform(size=n)))
         return out
 
     @property

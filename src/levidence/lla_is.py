@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import core
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
@@ -43,20 +42,20 @@ class GaussianISD:
         if np.any(self.stddev <= 0):
             raise ValueError("ISD stddev entries must be positive")
         self._dists = [
-            stats.truncnorm((lo - m) / s, (hi - m) / s, loc=m, scale=s)
+            core._TruncatedNormal(m, s, lo, hi)
             for m, s, (lo, hi) in zip(self.mean, self.stddev, self.support)
         ]
 
     def sample(self, rng, n):
         out = np.empty((n, len(self.mean)))
         for k, d in enumerate(self._dists):
-            out[:, k] = d.ppf(core.open_uniform(rng, n))
+            out[:, k] = d.inverse_cdf(core.clip_open(rng.uniform(size=n)))
         return out
 
     def log_pdf(self, theta):
         """Log density of one vector, or of each row of an (n, d) array."""
         theta = np.asarray(theta, dtype=float)
-        return sum(d.logpdf(x) for d, x in zip(self._dists, theta.T))
+        return sum(d.log_pdf(x) for d, x in zip(self._dists, theta.T))
 
 
 @dataclass

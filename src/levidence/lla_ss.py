@@ -18,7 +18,8 @@ import numpy as np
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError, TerminationReason,  # noqa: F401
-                   evidence_update, finalize_estimate, shell_statistics)
+                   clip_open, evidence_update, finalize_estimate,
+                   shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -92,9 +93,8 @@ def sample_stratum(problem, per_dim_counts, stratum, n, rng):
     for k, (prior, c, s_k) in enumerate(
             zip(problem.priors, per_dim_counts, stratum)):
         lo, hi = (s_k - 1) / c, s_k / c
-        # u on the half-open cell (lo, hi], clear of infinite quantiles
-        u = np.clip(lo + (hi - lo) * (1.0 - rng.uniform(size=n)),
-                    1e-16, 1.0 - 1e-16)
+        # u on the half-open cell (lo, hi]
+        u = clip_open(lo + (hi - lo) * (1.0 - rng.uniform(size=n)))
         out[:, k] = prior.inverse_cdf(u)
     return out
 

@@ -18,10 +18,6 @@ class NoViableModelError(ValueError):
     pass
 
 
-class UndefinedFactorError(ValueError):
-    pass
-
-
 @dataclass
 class ModelSet:
     """Candidate models with log evidences and prior model probabilities."""
@@ -58,14 +54,3 @@ def posterior_model_probabilities(ms):
         raise NoViableModelError("no model explains the data")
     probs = np.exp(np.asarray(log_terms) - log_Z)
     return list(probs / probs.sum())
-
-
-def log_bayes_factor(log_E_a, log_E_b):
-    """log of the evidence ratio of model a over model b."""
-    if log_E_a == NEG_INF and log_E_b == NEG_INF:
-        raise UndefinedFactorError("undefined factor")
-    if log_E_b == NEG_INF:
-        return math.inf
-    if log_E_a == NEG_INF:
-        return NEG_INF
-    return log_E_a - log_E_b

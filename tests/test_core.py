@@ -1,20 +1,41 @@
 """Unit tests for the log-domain primitives and shared types."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
                        grid_log_evidence, run_lla_is, run_lla_mcmc,
                        run_lla_ss, run_mc, run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
                             DegenerateWeightsError, LevelTrace,
-                            effective_sample_size, evidence_update,
-                            finalize_estimate, log_sum_exp, normal_prior,
-                            posterior_moments, shell_statistics,
+                            _TruncatedNormal, effective_sample_size,
+                            evidence_update, finalize_estimate, log_sum_exp,
+                            normal_prior, posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
+from levidence.lla_is import fit_isd
+
+INF = math.inf
+
+
+def normalization_defect(prior):
+    """|integral of exp(log_pdf) - 1| by adaptive quadrature; an infinite
+    bound is cut 12 standard deviations from the mean."""
+    lo, hi = prior.support
+    if not np.isfinite(lo):
+        lo = prior.mean - 12.0 * prior.std
+    if not np.isfinite(hi):
+        hi = prior.mean + 12.0 * prior.std
+    total, _ = integrate.quad(lambda x: math.exp(prior.log_pdf(x)), lo, hi,
+                              limit=200)
+    return abs(total - 1.0)
 
 
 class TestLogSumExp:
@@ -98,14 +119,14 @@ class TestEvidenceUpdate:
 
 class TestPriors:
     def test_normal_prior_normalized(self):
-        assert normal_prior(1.0, 0.25).normalization_defect() < 1e-8
+        assert normalization_defect(normal_prior(1.0, 0.25)) < 1e-8
 
     def test_uniform_prior_normalized(self):
-        assert uniform_prior(-2.0, 3.0).normalization_defect() < 1e-8
+        assert normalization_defect(uniform_prior(-2.0, 3.0)) < 1e-8
 
     def test_truncated_normal_prior_normalized(self):
-        assert truncated_normal_prior(0.0, 1.0, -1.0, 2.0) \
-            .normalization_defect() < 1e-8
+        assert normalization_defect(
+            truncated_normal_prior(0.0, 1.0, -1.0, 2.0)) < 1e-8
 
     def test_normal_log_pdf_value(self):
         p = normal_prior(0.0, 1.0)
@@ -148,10 +169,102 @@ class TestPriors:
         (truncated_normal_prior, (0.0, 1.0, 2.0, 1.0), "need hi > lo"),
         (truncated_normal_prior, (0.0, 1.0, 1.0, 1.0), "need hi > lo"),
         (uniform_prior, (1.0, 1.0), "need hi > lo"),
+        (normal_prior, (math.nan, 1.0), "need a finite mean"),
+        (normal_prior, (0.0, INF), "need a finite std"),
+        (normal_prior, (0.0, math.nan), "need std > 0"),
+        (truncated_normal_prior, (math.nan, 1.0, 0.0, 1.0),
+         "need a finite mean"),
+        (truncated_normal_prior, (INF, 1.0, 0.0, 1.0), "need a finite mean"),
+        (truncated_normal_prior, (0.0, INF, 0.0, 1.0), "need a finite std"),
+        (truncated_normal_prior, (0.0, 1.0, math.nan, 1.0), "need hi > lo"),
+        (uniform_prior, (0.0, INF), "need finite lo and hi"),
+        (uniform_prior, (-INF, 0.0), "need finite lo and hi"),
+        (uniform_prior, (math.nan, 1.0), "need hi > lo"),
     ])
     def test_invalid_parameters_rejected(self, make, args, message):
         with pytest.raises(ValueError, match=message):
             make(*args)
+
+    def test_truncated_normal_prior_takes_infinite_bounds(self):
+        for lo, hi in ((-INF, 1.0), (0.0, INF), (-INF, INF)):
+            p = truncated_normal_prior(0.5, 2.0, lo, hi)
+            assert p.support == (lo, hi)
+            assert np.isfinite(p.mean) and p.std > 0
+
+
+# standard bounds (a, b) that take every branch of the closed form: b <= 0,
+# a > 0 and the central case for the mass, a < 0 and a >= 0 for the
+# quantile, with one or both bounds infinite, and far tails
+STANDARD_BOUNDS = [
+    (-INF, INF), (-INF, -1.0), (-INF, 0.0), (-INF, 2.0), (-0.5, INF),
+    (0.0, INF), (1.0, INF), (-3.0, -1.0), (-2.0, 0.0), (0.0, 1.0),
+    (0.5, 3.0), (-1.0, 2.0), (-0.3, 0.1), (-40.0, -38.0), (38.0, 40.0),
+    (5.0, 5.5),
+]
+
+
+class TestTruncatedNormalClosedForm:
+    """Every value equals scipy.stats.truncnorm's bit for bit."""
+
+    @pytest.mark.parametrize("a, b", STANDARD_BOUNDS)
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (1.25, 0.5),
+                                            (-3.7, 2.3)])
+    def test_equals_scipy(self, a, b, loc, scale):
+        lo, hi = loc + a * scale, loc + b * scale
+        ref = stats.truncnorm((lo - loc) / scale, (hi - loc) / scale,
+                              loc=loc, scale=scale)
+        d = _TruncatedNormal(loc, scale, lo, hi)
+
+        us = np.concatenate([[1e-16, 1.0 - 1e-16, 0.5],
+                             np.random.default_rng(3).uniform(size=50)])
+        assert np.array_equal(d.inverse_cdf(us), ref.ppf(us))
+        for u in us[:5]:
+            assert d.inverse_cdf(u) == ref.ppf(u)
+
+        # the quantiles, the bounds and the points just outside them, and
+        # points outside the support, where both give -inf
+        left = lo if np.isfinite(lo) else loc - 10.0 * scale
+        right = hi if np.isfinite(hi) else loc + 10.0 * scale
+        xs = np.concatenate([
+            ref.ppf(us), np.linspace(left - 1.0, right + 1.0, 41),
+            [lo, hi, np.nextafter(lo, -INF), np.nextafter(hi, INF),
+             -INF, INF]])
+        assert np.array_equal(d.log_pdf(xs), ref.logpdf(xs))
+        for x in xs:
+            assert d.log_pdf(x) == ref.logpdf(x)
+        assert d.moments() == (float(ref.mean()), float(ref.std()))
+
+    def test_prior_and_isd_use_it(self):
+        p = truncated_normal_prior(1.25, 0.5, 1.0, 1.5)
+        ref = stats.truncnorm(-0.5, 0.5, loc=1.25, scale=0.5)
+        xs, us = np.linspace(0.9, 1.6, 15), np.linspace(0.05, 0.95, 15)
+        assert np.array_equal(p.log_pdf(xs), ref.logpdf(xs))
+        assert np.array_equal(p.inverse_cdf(us), ref.ppf(us))
+        assert (p.mean, p.std) == (float(ref.mean()), float(ref.std()))
+
+        isd = fit_isd(np.array([[0.2, 1.0], [0.4, 3.0], [0.9, 2.0]]), 2.0,
+                      [(0.0, 1.0), (-INF, INF)])
+        refs = [stats.truncnorm((lo - m) / s, (hi - m) / s, loc=m, scale=s)
+                for (lo, hi), m, s in zip(isd.support, isd.mean, isd.stddev)]
+        thetas = isd.sample(np.random.default_rng(4), 20)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(thetas, np.column_stack([
+            r.ppf(np.clip(rng.uniform(size=20), 1e-16, 1.0 - 1e-16))
+            for r in refs]))
+        assert np.array_equal(isd.log_pdf(thetas),
+                              sum(r.logpdf(x) for r, x in zip(refs, thetas.T)))
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    # scipy.stats alone takes longer to import than the rest of the package
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, levidence, levidence.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.strip() == "[]"
 
 
 class TestBayesianProblem:

@@ -1,4 +1,4 @@
-"""Tests for posterior model probabilities and Bayes factors."""
+"""Tests for posterior model probabilities."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from levidence.core import NEG_INF
 from levidence.selection import (ModelSet, NoViableModelError,
-                                 UndefinedFactorError, log_bayes_factor,
                                  posterior_model_probabilities)
 
 
@@ -95,20 +94,3 @@ class TestPosteriorProbabilities:
         ms = ModelSet(names=["a", "b"], log_evidences=[-1.0, NEG_INF])
         probs = posterior_model_probabilities(ms)
         assert probs == pytest.approx([1.0, 0.0], abs=1e-12)
-
-
-class TestLogBayesFactor:
-    def test_finite_values(self):
-        assert log_bayes_factor(-35.3233, -36.1309) == pytest.approx(
-            0.8076, abs=1e-10)
-
-    def test_symmetry(self):
-        assert log_bayes_factor(-2.0, -5.0) == -log_bayes_factor(-5.0, -2.0)
-
-    def test_infinite_sentinels(self):
-        assert log_bayes_factor(0.0, NEG_INF) == math.inf
-        assert log_bayes_factor(NEG_INF, 0.0) == NEG_INF
-
-    def test_both_impossible_undefined(self):
-        with pytest.raises(UndefinedFactorError, match="undefined factor"):
-            log_bayes_factor(NEG_INF, NEG_INF)
