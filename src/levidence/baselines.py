@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -12,8 +13,8 @@ import numpy as np
 # perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
                    CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, log_sum_exp,
-                   shell_statistics)
+                   evidence_update, finalize_estimate, keyed_generators,
+                   log_sum_exp, shell_statistics)
 from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
                        replenish)
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
@@ -70,6 +71,9 @@ class _NestedLevels(LevelStrategy):
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.live = problem.sample_prior(rng0, config.n_live)
         self.live_log_L = self.logL_fn.rows(self.live)
+        # iteration i replenishes with SeedSequence([seed, i])'s stream;
+        # mass, which draws it, runs once per iteration, in order
+        self.rngs = keyed_generators((seed,), itertools.count(1))
 
     def level(self, iteration, trace):
         self.worst = int(np.argmin(self.live_log_L))
@@ -86,7 +90,7 @@ class _NestedLevels(LevelStrategy):
         (new,), (new_log_L,) = replenish(
             self.live[above], self.live_log_L[above], log_lambda, self.stddev,
             self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
-            [(self.seed, iteration)])
+            [next(self.rngs)])
         x = math.exp(-iteration / self.config.n_live)
         dead = self.live[[self.worst]]
         self.live[self.worst] = new

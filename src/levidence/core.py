@@ -2,17 +2,21 @@
 
 Everything here is shared by the level-adapted estimators and the baselines:
 numerically safe log-sum-exp, effective sample size, the rectangle-rule
-evidence update, and posterior-moment recovery from a level trace.
+evidence update, posterior-moment recovery from a level trace, and the keyed
+generators that seed the Markov chains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 NEG_INF = float("-inf")
@@ -76,6 +80,124 @@ def evidence_update(log_lambda, chi_prev, chi_cur):
     if d_chi <= 0.0 or log_lambda == NEG_INF:
         return NEG_INF
     return log_lambda + math.log(d_chi)
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool,
+# a hash whose constant advances by one multiplication per call, and a
+# mixing step
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_KEY_BLOCK = 1024
+
+
+def _hash_constants(init, mult, n):
+    """init * mult**k mod 2**32 for k < n, as an (n, 1) uint32 column."""
+    out, c = [], init
+    for _ in range(n):
+        out.append(c)
+        c = c * mult & _MASK32
+    return np.array(out, dtype=np.uint32).reshape(n, 1)
+
+
+# hash call k XORs in constant k and multiplies by constant k + 1.
+# _HASH_A covers entropy of up to 16 words; generate_state(4, np.uint64)
+# makes 8 calls on the B sequence
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL * _POOL + 1)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+# the all-pairs pass hashes pool word s once for every other word d, in
+# order, with hash call 4 + 3s + d - (d > s); call 0 stands in on the
+# diagonal, whose word keeps its value.  Row s holds (4, 1) columns
+_PAIR_CALLS = np.array([[_POOL + (_POOL - 1) * s + d - (d > s) if d != s
+                         else 0 for d in range(_POOL)]
+                        for s in range(_POOL)])
+_PAIR_XOR, _PAIR_MUL = _HASH_A[_PAIR_CALLS], _HASH_A[_PAIR_CALLS + 1]
+
+
+def _hashmix(value, xor, mul):
+    h = (value ^ xor) * mul
+    return h ^ (h >> 16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _entropy_words(entry):
+    """An integer as SeedSequence splits it: little-endian 32-bit words."""
+    n = operator.index(entry)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_words(head, keys, hash_a):
+    """SeedSequence([*head, key]).generate_state(4, np.uint64) for each key.
+
+    head is the (P, 1) column of prefix words, keys a list of 32-bit keys,
+    and the rows are hashed side by side: returns an (m, 4) uint64 array.
+    """
+    n = len(head) + 1
+    entropy = np.zeros((max(n, _POOL), len(keys)), dtype=np.uint32)
+    entropy[:n - 1] = head
+    entropy[n - 1] = keys
+    with np.errstate(over="ignore"):
+        pool = _hashmix(entropy[:_POOL], hash_a[:_POOL], hash_a[1:_POOL + 1])
+        for s in range(_POOL):
+            mixed = _mix(pool, _hashmix(pool[s], _PAIR_XOR[s], _PAIR_MUL[s]))
+            mixed[s] = pool[s]
+            pool = mixed
+        # each word beyond the pool is hashed anew for every pool word
+        for k, word in enumerate(entropy[_POOL:], start=_POOL):
+            k *= _POOL
+            pool = _mix(pool, _hashmix(word, hash_a[k:k + _POOL],
+                                       hash_a[k + 1:k + _POOL + 1]))
+        state = _hashmix(np.concatenate([pool, pool]), _HASH_B[:-1],
+                         _HASH_B[1:])
+    lo, hi = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
+    return (lo | hi << np.uint64(32)).T.copy()
+
+
+class _PresetState(ISeedSequence):
+    """Hands PCG64 the seeding words it asks a SeedSequence for."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def keyed_generators(prefix, keys):
+    """A fresh np.random.Generator per key, lazily, whose stream is that of
+    np.random.default_rng(np.random.SeedSequence([*prefix, key])).
+
+    Prefix entries are non-negative integers of any size; keys must lie in
+    [0, 2**32).  Keys are hashed in blocks of up to 1024, all rows of a
+    block at once, so a generator costs a few microseconds rather than the
+    twenty of a SeedSequence of its own.
+    """
+    head = [w for entry in prefix for w in _entropy_words(entry)]
+    calls = _POOL * (_POOL + max(len(head) + 1 - _POOL, 0))
+    hash_a = (_HASH_A if calls < len(_HASH_A)
+              else _hash_constants(_INIT_A, _MULT_A, calls + 1))
+    head = np.array(head, dtype=np.uint32).reshape(-1, 1)
+    return _keyed_generators(head, iter(keys), hash_a)
+
+
+def _keyed_generators(head, keys, hash_a):
+    while block := [operator.index(k)
+                    for k in itertools.islice(keys, _KEY_BLOCK)]:
+        if min(block) < 0 or max(block) > _MASK32:
+            raise ValueError("keys must lie in [0, 2**32)")
+        for words in _pcg64_words(head, block, hash_a):
+            yield np.random.Generator(np.random.PCG64(_PresetState(words)))
 
 
 @dataclass

@@ -4,7 +4,9 @@ The super-level prior mass telescopes as a product of per-iteration pass
 fractions.  Samples rejected at each new level are replenished by Markov
 chains whose stationary distribution is the prior conditioned on the
 super-level region.  All of a level's replacement chains advance together as
-the rows of one (n, d) array, each with its own generator.  A step accepts
+the rows of one (n, d) array, each with its own generator: chain c of
+iteration i draws from the stream of SeedSequence([seed, i, c]), which
+core.keyed_generators yields for a whole level at once.  A step accepts
 on the prior ratio first, for all rows at once against each row's cached log
 prior, and only then evaluates the likelihood gate on the rows that moved,
 so prior-rejected proposals cost no likelihood evaluations.  Up to
@@ -26,7 +28,7 @@ import numpy as np
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
                    TerminationReason, evidence_update, finalize_estimate,
-                   shell_statistics)
+                   keyed_generators, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -100,33 +102,34 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
 
 
 def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
-              steps_per_sample, problem, logL_fn, seed_paths):
-    """Replacement samples above the level, one short chain per seed path.
+              steps_per_sample, problem, logL_fn, rngs):
+    """Replacement samples above the level, one short chain per generator.
 
-    Each chain starts at a survivor drawn by its own generator, seeded from
-    its entry of seed_paths, and takes steps_per_sample constrained steps;
-    all chains advance together as the rows of one array.  A chain's draws do
-    not depend on its state, so they are taken up front: the start index,
-    then per step a standard normal vector and one uniform, or d uniforms
-    when moves are component-wise (above COMPONENT_WISE_DIMENSION).  A lone
+    rngs holds one fresh generator per chain, as core.keyed_generators
+    yields them for the callers.  Each chain starts at a survivor drawn by
+    its generator and takes steps_per_sample constrained steps; all chains
+    advance together as the rows of one array.  A chain's draws do not
+    depend on its state, so they are taken up front: the start index, then
+    per step a standard normal vector and one uniform, or d uniforms when
+    moves are component-wise (above COMPONENT_WISE_DIMENSION).  A lone
     chain, as in nested sampling, steps on its vector and scalars instead:
     numpy's per-call cost on a one-row array exceeds the step's own work
     there, and the draws and the arithmetic are the same, so its row is the
-    one the array step gives.
+    one the array step gives.  It compares vectors as lists, which agrees
+    with np.array_equal on NaN and on signed zeros at a tenth of the cost.
     """
     if len(passing) == 0:
         raise StopRun(TerminationReason.degenerate_level,
                       "level unreachable: no surviving samples")
-    if len(seed_paths) < 1:
+    if len(rngs) < 1:
         raise ValueError("need at least one chain")
-    n, d = len(seed_paths), problem.dimension
+    n, d = len(rngs), problem.dimension
     component_wise = d > COMPONENT_WISE_DIMENSION
     u_size = d if component_wise else None
     starts = np.empty(n, dtype=np.intp)
     z = np.empty((steps_per_sample, n, d))
     u = np.empty((steps_per_sample, n) + ((d,) if component_wise else ()))
-    for c, path in enumerate(seed_paths):
-        rng = np.random.default_rng(np.random.SeedSequence(list(path)))
+    for c, rng in enumerate(rngs):
         starts[c] = rng.integers(len(passing))
         for s in range(steps_per_sample):
             # random() is uniform() on [0, 1) without its bounds arithmetic
@@ -140,17 +143,20 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
         # the component-wise scalar step: constrained_mh_step's tests, in
         # its order, with each coordinate's log prior taken on its scalar
         priors, x, x_log_L = problem.priors, state[0], log_L[0]
-        x_terms = np.array([p.log_pdf(v) for p, v in zip(priors, x.tolist())])
+        x_list = x.tolist()
+        x_terms = np.array([p.log_pdf(v) for p, v in zip(priors, x_list)])
         for s in range(steps_per_sample):
             eta = x + delta[s, 0]
             eta_terms = np.array([p.log_pdf(v)
                                   for p, v in zip(priors, eta.tolist())])
             accept = log_u[s, 0] < eta_terms - x_terms
             candidate = np.where(accept, eta, x)
-            if not np.array_equal(candidate, x):
+            candidate_list = candidate.tolist()
+            if candidate_list != x_list:
                 candidate_log_L = logL_fn(candidate)
                 if candidate_log_L > log_lambda:
-                    x, x_log_L = candidate, candidate_log_L
+                    x, x_list, x_log_L = (candidate, candidate_list,
+                                          candidate_log_L)
                     x_terms = np.where(accept, eta_terms, x_terms)
         return x[None], np.array([x_log_L])
     if n == 1:
@@ -160,7 +166,7 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
             eta = x + delta[s, 0]
             eta_log_p = problem.log_prior(eta)
             if (log_u[s, 0] < eta_log_p - x_log_p
-                    and not np.array_equal(eta, x)):
+                    and eta.tolist() != x.tolist()):
                 eta_log_L = logL_fn(eta)
                 if eta_log_L > log_lambda:
                     x, x_log_L, x_log_p = eta, eta_log_L, eta_log_p
@@ -211,7 +217,7 @@ class _MCMCLevels(LevelStrategy):
             self.samples[passing], self.log_L[passing], log_lambda,
             self.kernel_stddev, self.config.kernel.steps_per_sample,
             self.problem, self.logL_fn,
-            [(self.seed, iteration, chain) for chain in range(n_new)])
+            list(keyed_generators((self.seed, iteration), range(n_new))))
         self.samples = np.vstack([self.samples[passing], new_samples])
         self.log_L = np.concatenate([self.log_L[passing], new_log_L])
 

@@ -19,7 +19,7 @@ import numpy as np
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError, TerminationReason,  # noqa: F401
                    clip_open, evidence_update, finalize_estimate,
-                   shell_statistics)
+                   keyed_generators, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -145,9 +145,9 @@ class _SSLevels(LevelStrategy):
                            len(active))
         sizes = [base + (i < rem) for i in range(len(active))]
         new = []
-        for pos, n_s in zip(active, sizes):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [self.seed, iteration, pos]))
+        # stratum pos draws from SeedSequence([seed, iteration, pos])'s stream
+        rngs = keyed_generators((self.seed, iteration), active)
+        for pos, n_s, rng in zip(active, sizes, rngs):
             new.append(sample_stratum(self.problem, grid.per_dim_counts,
                                       grid.strata[pos], n_s, rng))
         new = np.vstack(new)

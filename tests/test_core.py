@@ -1,5 +1,6 @@
 """Unit tests for the log-domain primitives and shared types."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -17,8 +18,9 @@ from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
                             DegenerateWeightsError, LevelTrace,
                             _TruncatedNormal, effective_sample_size,
-                            evidence_update, finalize_estimate, log_sum_exp,
-                            normal_prior, posterior_moments, shell_statistics,
+                            evidence_update, finalize_estimate,
+                            keyed_generators, log_sum_exp, normal_prior,
+                            posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
 from levidence.lla_is import fit_isd
 
@@ -253,6 +255,65 @@ class TestTruncatedNormalClosedForm:
             for r in refs]))
         assert np.array_equal(isd.log_pdf(thetas),
                               sum(r.logpdf(x) for r, x in zip(refs, thetas.T)))
+
+
+def _seed_sequence_state(*entropy):
+    return np.random.PCG64(np.random.SeedSequence(list(entropy))).state
+
+
+class TestKeyedGenerators:
+    """Each generator starts where SeedSequence([*prefix, key]) starts one."""
+
+    ENTRIES = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**90,
+               np.int64(5), True]
+    KEYS = [0, 1, 999, 2**32 - 1]
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=repr)
+    def test_equals_seed_sequence(self, entry):
+        # prefixes of 1 to 4 entries: with 2**90 (three words) the entropy
+        # runs past the 4-word pool
+        for size in range(1, 5):
+            prefix = (entry,) + (7, 2**33 + 1, 0)[:size - 1]
+            gens = list(keyed_generators(prefix, self.KEYS))
+            assert len(gens) == len(self.KEYS)
+            for key, gen in zip(self.KEYS, gens):
+                assert (gen.bit_generator.state
+                        == _seed_sequence_state(*prefix, key))
+
+    def test_long_prefix(self):
+        # entropy of 20 words, past the precomputed hash constants
+        prefix = (2**600, 3)
+        for key, gen in zip(self.KEYS, keyed_generators(prefix, self.KEYS)):
+            assert (gen.bit_generator.state
+                    == _seed_sequence_state(*prefix, key))
+
+    def test_blocks_equal_single_keys(self):
+        gens = list(itertools.islice(
+            keyed_generators((11, 4), itertools.count(1)), 1025))
+        for key in (1, 1023, 1024, 1025):
+            (alone,) = keyed_generators((11, 4), [key])
+            assert (gens[key - 1].bit_generator.state
+                    == alone.bit_generator.state
+                    == _seed_sequence_state(11, 4, key))
+
+    def test_generators_are_fresh(self):
+        a, b = keyed_generators((3,), [0, 0])
+        assert a is not b and a.bit_generator is not b.bit_generator
+        assert a.random() == b.random()
+        a.random()
+        assert a.random() != b.random()
+
+    def test_bad_entries_and_keys_raise(self):
+        with pytest.raises(ValueError):
+            keyed_generators((7, -1), [0])
+        with pytest.raises(TypeError):
+            keyed_generators((1.5,), [0])
+        with pytest.raises(ValueError):
+            next(keyed_generators((7,), [2**32]))
+        with pytest.raises(ValueError):
+            next(keyed_generators((7,), [-1]))
+        with pytest.raises(TypeError):
+            next(keyed_generators((7,), [1.0]))
 
 
 def test_import_skips_scipy_stats_and_integrate():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            TerminationReason, normal_prior, uniform_prior)
+                            TerminationReason, keyed_generators, normal_prior,
+                            uniform_prior)
 from levidence.lla_mcmc import (COMPONENT_WISE_DIMENSION, KernelConfig,
                                 MCMCConfig, _log_prior_terms, chi_mcmc,
                                 constrained_mh_step, replenish, run_lla_mcmc)
@@ -177,7 +178,7 @@ class TestReplenish:
         lam = math.log(2.0 * 0.7)
         s, ll = replenish(passing, log_L, lam, np.array([0.1]), 3, problem,
                           CountingLikelihood(problem.log_likelihood),
-                          [(0, 1, chain) for chain in range(5)])
+                          list(keyed_generators((0, 1), range(5))))
         assert s.shape == (5, 1)
         assert ll.shape == (5,)
         assert np.all(ll > lam)
@@ -187,28 +188,30 @@ class TestReplenish:
         with pytest.raises(StopRun) as exc:
             replenish(np.empty((0, 1)), np.empty(0), 0.0,
                       np.array([0.1]), 1, problem,
-                      CountingLikelihood(problem.log_likelihood), [(0, 1, 0)])
+                      CountingLikelihood(problem.log_likelihood),
+                      list(keyed_generators((0, 1), [0])))
         assert exc.value.reason == TerminationReason.degenerate_level
 
     @pytest.mark.parametrize("d", [1, 3, 10, 11, 12])
     def test_rows_equal_lone_paths(self, d):
-        # a path run alone takes the scalar step, full-vector up to
+        # a chain run alone takes the scalar step, full-vector up to
         # COMPONENT_WISE_DIMENSION and component-wise above, and equals its
-        # row of the batch
+        # row of the batch when its generator has the same key
         seen = []
         problem = _mixed_problem(d, seen)
         passing, passing_log_L, lam = _survivors(problem, 400, d)
         stddev, steps = np.full(d, 0.5), 10
         component_wise = d > COMPONENT_WISE_DIMENSION
 
-        def run(paths):
+        def run(chains):
             return replenish(passing, passing_log_L, lam, stddev, steps,
                              problem,
-                             CountingLikelihood(problem.log_likelihood), paths)
+                             CountingLikelihood(problem.log_likelihood),
+                             list(keyed_generators((5, 2), chains)))
 
-        paths = [(5, 2, chain) for chain in range(30)]
+        chains = range(30)
         del seen[:]
-        s, ll = run(paths)
+        s, ll = run(chains)
         batch_calls = len(seen)
         candidates = np.array([t for t, _ in seen])
         # both gates rejected some proposals.  The prior gate: no evaluated
@@ -223,8 +226,8 @@ class TestReplenish:
         assert component_wise or batch_calls < 30 * steps
         assert min(v for _, v in seen) <= lam
         del seen[:]
-        for row, log_L_row, path in zip(s, ll, paths):
-            s_one, ll_one = run([path])
+        for row, log_L_row, chain in zip(s, ll, chains):
+            s_one, ll_one = run([chain])
             assert np.all(s_one[0] == row)
             assert ll_one[0] == log_L_row
         assert len(seen) == batch_calls
@@ -243,7 +246,7 @@ class TestReplenish:
         s, ll = replenish(start, np.array([0.95]), 0.5,
                           KernelConfig().resolve(problem), 200, problem,
                           CountingLikelihood(problem.log_likelihood),
-                          [(9, chain) for chain in range(1000)])
+                          list(keyed_generators((9,), range(1000))))
         assert np.all(s[:, 0] > 0.5)
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert np.all(ll == s[:, 0])
