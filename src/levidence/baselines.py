@@ -39,7 +39,8 @@ def run_mc(problem, n, seed):
     """Direct prior expectation of the likelihood, with a delta-method SE."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    logL_fn = CountingLikelihood(problem.log_likelihood)
+    logL_fn = CountingLikelihood(problem.log_likelihood,
+                                 problem.log_likelihood_rows)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     samples = problem.sample_prior(rng, n)
     log_L = logL_fn.rows(samples)

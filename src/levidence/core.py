@@ -355,11 +355,19 @@ def _log_gauss_mass(a, b):
 
 @dataclass
 class BayesianProblem:
-    """Product-of-marginals prior plus a deterministic log-likelihood."""
+    """Product-of-marginals prior plus a deterministic log-likelihood.
+
+    log_likelihood_rows, if given, maps an (n, d) array to the (n,)
+    log-likelihoods of its rows in one call, and must give for each row
+    exactly the value log_likelihood gives: CountingLikelihood.rows
+    evaluates every set of points with it, while lone points still go
+    through log_likelihood.
+    """
 
     dimension: int
     priors: list
     log_likelihood: Callable[[np.ndarray], float]
+    log_likelihood_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.priors) != self.dimension:
@@ -388,10 +396,15 @@ class BayesianProblem:
 
 class CountingLikelihood:
     """Wraps a log-likelihood with an evaluation counter; a NaN or +inf
-    value raises ValueError naming the value and the point."""
+    value raises ValueError naming the value and the point.
 
-    def __init__(self, fn):
+    rows_fn, a problem's log_likelihood_rows, evaluates a whole set of
+    points in one call; without it, rows calls fn on each row.
+    """
+
+    def __init__(self, fn, rows_fn=None):
         self.fn = fn
+        self.rows_fn = rows_fn
         self.count = 0
 
     def __call__(self, theta):
@@ -403,10 +416,16 @@ class CountingLikelihood:
 
     def rows(self, samples):
         """The (n,) log-likelihoods of the rows of an (n, d) array, in order;
-        every set of points is evaluated here."""
-        values = np.fromiter(map(self.fn, samples), dtype=float,
-                             count=len(samples))
-        self.count += len(values)
+        every set of points is evaluated here, n evaluations a call."""
+        n = len(samples)
+        if self.rows_fn is None or n == 0:
+            values = np.fromiter(map(self.fn, samples), dtype=float, count=n)
+        else:
+            values = np.asarray(self.rows_fn(samples), dtype=float)
+            if values.shape != (n,):
+                raise ValueError("log_likelihood_rows returned shape %s; "
+                                 "expected %s" % (values.shape, (n,)))
+        self.count += n
         bad = np.flatnonzero(~(values < math.inf))
         if len(bad):
             raise ValueError(_invalid_log_likelihood(values[bad[0]],

@@ -151,7 +151,8 @@ class LevelStrategy:
         self.problem = problem
         self.config = config
         self.seed = seed
-        self.logL_fn = CountingLikelihood(problem.log_likelihood)
+        self.logL_fn = CountingLikelihood(problem.log_likelihood,
+                                          problem.log_likelihood_rows)
 
     def advance(self, iteration, log_lambda, trace):
         pass

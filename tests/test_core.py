@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -379,19 +380,55 @@ class TestCountingLikelihood:
         assert batch.count == single.count == 50
 
     def test_empty_rows(self):
-        fn = CountingLikelihood(lambda t: 0.0)
-        values = fn.rows(np.empty((0, 3)))
-        assert values.dtype == float and values.shape == (0,)
-        assert fn.count == 0
+        def no_batch(thetas):
+            raise AssertionError("batch form called on no rows")
+
+        for fn in (CountingLikelihood(lambda t: 0.0),
+                   CountingLikelihood(lambda t: 0.0, no_batch)):
+            values = fn.rows(np.empty((0, 3)))
+            assert values.dtype == float and values.shape == (0,)
+            assert fn.count == 0
+
+    def test_rows_call_batch_form_once_and_count_rows(self):
+        calls = []
+
+        def batch(thetas):
+            calls.append(len(thetas))
+            return thetas.sum(axis=1).astype(int)  # cast to float by rows
+
+        loop, fn = (CountingLikelihood(lambda t: float(t.sum()), rows_fn)
+                    for rows_fn in (None, batch))
+        x = np.arange(12.0).reshape(6, 2)
+        for n in (6, 1, 3):
+            values = fn.rows(x[:n])
+            assert values.dtype == float and values.shape == (n,)
+            assert values.tolist() == loop.rows(x[:n]).tolist()
+        assert calls == [6, 1, 3]
+        assert fn.count == loop.count == 10
+        fn(x[0])  # a lone point goes through the scalar form
+        assert calls == [6, 1, 3] and fn.count == 11
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2,), (4,), ()])
+    def test_wrong_shape_batch_form_raises(self, shape):
+        fn = CountingLikelihood(lambda t: 0.0, lambda x: np.zeros(shape))
+        with pytest.raises(ValueError, match=r"returned shape %s; expected "
+                           r"\(3,\)" % re.escape(str(shape))):
+            fn.rows(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nan_and_plus_inf_raise(self, bad):
-        fn = CountingLikelihood(lambda t: bad if t[0] > 0.5 else NEG_INF)
+        scalar = lambda t: bad if t[0] > 0.5 else NEG_INF
+        fn = CountingLikelihood(scalar)
         assert fn(np.array([0.1])) == NEG_INF
         with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
             fn(np.array([0.75]))
+        x = np.array([[0.25], [0.75], [1.0]])
         with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
-            fn.rows(np.array([[0.25], [0.75], [1.0]]))
+            fn.rows(x)
+        batch = CountingLikelihood(
+            scalar, lambda x: np.where(x[:, 0] > 0.5, bad, NEG_INF))
+        with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
+            batch.rows(x)
 
     @pytest.mark.parametrize("run", [
         lambda p: run_mc(p, 2000, 0),

@@ -1,10 +1,12 @@
 """Tests for the benchmark problems and their reference evidences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from levidence import MCMCConfig, run_lla_mcmc
 from levidence.core import BayesianProblem, normal_prior, uniform_prior
 from levidence.models import (BENCHMARK_NAMES, ConjugateGaussianProblem,
                               OracleNotConvergedError,
@@ -13,15 +15,23 @@ from levidence.models import (BENCHMARK_NAMES, ConjugateGaussianProblem,
 
 
 def _counted(problem):
-    """The problem with its likelihood wrapped in a call counter."""
+    """The problem with its likelihood wrapped in an evaluation counter: one
+    per scalar call, and one per row given to its batch form, if any."""
     calls = [0]
     log_likelihood = problem.log_likelihood
+    log_likelihood_rows = problem.log_likelihood_rows
 
     def counted(theta):
         calls[0] += 1
         return log_likelihood(theta)
 
+    def counted_rows(thetas):
+        calls[0] += len(thetas)
+        return log_likelihood_rows(thetas)
+
     problem.log_likelihood = counted
+    if log_likelihood_rows is not None:
+        problem.log_likelihood_rows = counted_rows
     return problem, calls
 
 
@@ -76,6 +86,8 @@ class TestGridOracle:
             priors=[normal_prior(0.0, 1.0), normal_prior(0.0, 1.0)],
             log_likelihood=lambda t: -math.log(2.0 * math.pi)
             - 0.5 * float(t @ t),
+            log_likelihood_rows=lambda x: -math.log(2.0 * math.pi)
+            - 0.5 * np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0],
         ))
         expect = 2 * (-0.5 * math.log(2.0 * math.pi * 2.0))
         assert grid_log_evidence(problem, nodes_per_dim=1001) == \
@@ -104,6 +116,42 @@ class TestGridOracle:
             if abs(t[0] - 0.5) < 1e-7 else 0.0)
         with pytest.raises(OracleNotConvergedError):
             grid_log_evidence(problem, nodes_per_dim=1001)
+
+
+class TestBatchForms:
+    @pytest.mark.parametrize("name", [
+        "conjugate_gaussian", "truncated_gaussian_1d", "highdim_gaussian_100",
+        "polynomial_regression_d1", "polynomial_regression_d2",
+        "polynomial_regression_d3"])
+    def test_batch_form_equals_scalar_form(self, name):
+        problem, _ = make_benchmark(name, 7)
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 37, 100):
+            prior_draws = problem.sample_prior(rng, n)
+            # far inside and far outside the prior bulk too
+            for x in (prior_draws, 1e-3 * prior_draws, 30.0 * prior_draws):
+                assert problem.log_likelihood_rows(x).tolist() == [
+                    problem.log_likelihood(t) for t in x]
+
+    @pytest.mark.parametrize("name", ["uniform_linear", "bimodal_2d"])
+    def test_no_batch_form(self, name):
+        problem, _ = make_benchmark(name, 7)
+        assert problem.log_likelihood_rows is None
+
+    def test_mcmc_makes_no_scalar_call(self):
+        problem, _ = make_benchmark("polynomial_regression_d2", 7)
+        scalar_calls = []
+        log_likelihood = problem.log_likelihood
+
+        def counted(theta):
+            scalar_calls.append(theta)
+            return log_likelihood(theta)
+
+        problem.log_likelihood = counted
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = run_lla_mcmc(problem, MCMCConfig(), 7)
+        assert est.total_evals > 0 and scalar_calls == []
 
 
 class TestBenchmarks:

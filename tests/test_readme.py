@@ -8,7 +8,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_python_blocks_run(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     for source in blocks:
         exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out

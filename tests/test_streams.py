@@ -2,8 +2,9 @@
 
 The values were recorded before chain generators came from
 core.keyed_generators, when every chain built its own
-default_rng(SeedSequence([seed, iteration, chain])); they are asserted with
-==, so any change of stream fails here.  The second half checks that no
+default_rng(SeedSequence([seed, iteration, chain])), and the regression
+pins before its likelihood had a batch form; they are asserted with ==, so
+any change of stream fails here.  The second half checks that no
 estimator builds a SeedSequence per chain.
 """
 
@@ -31,6 +32,11 @@ PINNED = [
      "0.11376170588087434", 2305),
     ("bimodal_2d", run_lla_ss, SSConfig, 7,
      "-11.364245464333388", 20000),
+    # the regression likelihood's batch form, through every set of points
+    ("polynomial_regression_d2", run_lla_mcmc, MCMCConfig, 7,
+     "-2066.0744034289924", 11577),
+    ("polynomial_regression_d2", run_lla_ss, SSConfig, 7,
+     "-18740.777711719187", 20000),
     # seeds of two and three 32-bit words
     ("conjugate_gaussian", run_lla_mcmc, MCMCConfig, 2**40 + 3,
      "-83.07749022708255", 12179),
