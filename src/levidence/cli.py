@@ -9,9 +9,13 @@ Config files are INI-style: [experiment], [stopping], a section named after
 the estimator (with the KernelConfig keys if its config has a kernel) and,
 if its config has a level_policy, [level].  Keys are the field names of the
 config dataclasses; an unknown key or section is an error.
-All randomness flows from the configured seed, and replications run in
-seed order in this process, so outputs are byte identical for a given
-(config, seed).  --workers is accepted and range-checked only.
+All randomness flows from the configured seed.  With --workers N, the
+replications of a run (and of each budget of a sweep) run in a pool of
+min(N, replications, usable CPUs) forked processes; when that is 1, when the
+platform has no `fork` start method, or when this process runs other
+threads, they run one after another in this process.  Results are gathered
+in seed order either way, so outputs are byte identical for a given
+(config, seed) at any worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import configparser
 import csv
 import dataclasses
 import math
+import os
 import re
 import sys
 import time
@@ -51,7 +56,12 @@ class ConfigError(Exception):
     """Validation failure with a file/line location."""
 
     def __init__(self, path, line, message):
-        super().__init__("%s:%d: %s" % (path, line, message))
+        # the arguments stay in args, so the error survives pickling out of
+        # a worker process
+        super().__init__(path, line, message)
+
+    def __str__(self):
+        return "%s:%d: %s" % self.args
 
 
 def _fmt(x):
@@ -241,8 +251,42 @@ def replication_seed(base_seed, replication):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_replications(runner, base_seed, replications):
+_runner = None    # the runner of a pool's worker process, set as it starts
+
+
+def _set_runner(runner):
+    global _runner
+    _runner = runner
+
+
+def _run_one(seed):
+    return _runner(seed)
+
+
+def _run_replications(runner, base_seed, replications, workers):
+    """The replication seeds and runner(seed) for each, in seed order.
+
+    Runs them in `workers` forked processes at most, and never in more
+    processes than there are replications or usable CPUs.  Fork hands the
+    runner closure to each process without pickling it; only seeds, results
+    and exceptions cross.  Forking a process that runs other threads can
+    deadlock the child, so such a process runs the replications itself.
+    """
     seeds = [replication_seed(base_seed, r) for r in range(replications)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    size = min(workers, replications, cpus)
+    if size >= 2:
+        # imported here, so that importing the package does not pay for them
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            with ProcessPoolExecutor(
+                    size, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_set_runner, initargs=(runner,)) as pool:
+                return seeds, list(pool.map(_run_one, seeds))
     return seeds, [runner(s) for s in seeds]
 
 
@@ -318,7 +362,8 @@ def _load_with_overrides(args):
     """The config file with the command line's seed/replication overrides.
 
     The overrides are checked as the file's values are, and reported at
-    <args>; so is --workers, which is accepted but changes nothing.
+    <args>; so is --workers, the most processes that run replications at
+    once (see `_run_replications`).
     """
     cfg = load_config(args.config)
     if args.seed_override is not None:
@@ -344,7 +389,7 @@ def cmd_run(args):
 
     start = time.perf_counter()
     seeds, results = _run_replications(runner, cfg["seed"],
-                                       cfg["replications"])
+                                       cfg["replications"], args.workers)
     elapsed = time.perf_counter() - start
 
     # one aggregate for summary.csv, record.txt and stdout, in record order
@@ -445,7 +490,7 @@ def cmd_convergence(args):
         stopping = dataclasses.replace(base_stopping, max_evals=budget)
         runner = _estimator_runner(cfg, problem, stopping)
         _, results = _run_replications(runner, cfg["seed"],
-                                       cfg["replications"])
+                                       cfg["replications"], args.workers)
         errs = [_error_percent(r.log_evidence, reference) for r in results]
         rows.append([budget, _fmt(float(np.mean(errs))),
                      _fmt(_cov_percent([r.log_evidence for r in results]))])
@@ -475,7 +520,7 @@ def build_parser():
     configured.add_argument("--seed-override", type=int, default=None)
     configured.add_argument("--replications-override", type=int, default=None)
     configured.add_argument("--workers", type=int, default=1,
-                            help="accepted and checked; changes nothing")
+                            help="most processes running replications")
 
     run_p = sub.add_parser("run", parents=[configured],
                            help="run a configured experiment")

@@ -32,8 +32,12 @@ class ConfigFieldError(ValueError):
     """A config value that does not fit the problem, with its field's name."""
 
     def __init__(self, field, message):
-        super().__init__(message)
+        # both arguments stay in args, so the error pickles and unpickles
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self):
+        return self.args[1]
 
 
 def log_sum_exp(xs):

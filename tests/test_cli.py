@@ -1,12 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
+import concurrent.futures
+import contextlib
 import csv
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from levidence import cli
 from levidence.cli import (ConfigError, load_config, main, read_record,
                            replication_seed)
+from levidence.core import ConfigFieldError
 from levidence.schedule import StoppingPolicy
 
 
@@ -63,12 +72,24 @@ n_per_iteration = 100
 per_dim_counts = 5,5,5
 """
 
+SS_RUN_CONFIG = SS_CONFIG.replace("5,5,5", "5") + """
+[stopping]
+max_evals = 3000
+"""
+
 HIGHDIM_SS_CONFIG = """\
 [experiment]
 benchmark = highdim_gaussian_100
 estimator = lla_ss
 seed = 7
 """
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that --workers 2 forks on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
 
 
 class TestLoadConfig:
@@ -119,7 +140,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"a\.ini:4: bad value"):
             load_config(path)
 
-    def test_config_errors_exit_2(self, tmp_path, capsys):
+    def test_config_errors_exit_2(self, tmp_path, capsys, two_cpus):
         cases = [
             ("[mc]\nn = 10\n", [], "a.ini:1: missing"),
             # a misspelled key in a section that is read
@@ -138,6 +159,9 @@ class TestLoadConfig:
              "a.ini:10: mc does not read [stoping]"),
             # three counts for two dimensions, found as the run starts
             (SS_CONFIG, [], "a.ini:8: per_dim_counts needs 1 or 2 entries"),
+            # the same error, raised in a pool's worker process
+            (SS_CONFIG, ["--workers", "2", "--replications-override", "2"],
+             "a.ini:8: per_dim_counts needs 1 or 2 entries"),
             # too many strata: the default grid at d = 100 is reported at
             # the [lla_ss] header, or at line 1 without one, and an explicit
             # count at its own line
@@ -186,6 +210,94 @@ class TestLoadConfig:
             assert conf.kernel.steps_per_sample == steps
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the replication pool forks")
+
+
+class TestReplicationPool:
+    def test_config_errors_survive_pickling(self):
+        exc = pickle.loads(pickle.dumps(ConfigError("a.ini", 8, "bad n")))
+        assert type(exc) is ConfigError
+        assert str(exc) == "a.ini:8: bad n"
+        exc = pickle.loads(pickle.dumps(ConfigFieldError("n", "bad n")))
+        assert type(exc) is ConfigFieldError
+        assert (str(exc), exc.field) == ("bad n", "n")
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Runs the map in this process and records the pool size."""
+
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
+                sizes.append(max_workers)
+                self.runner, = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seeds):
+                return map(self.runner, seeds)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        # (workers, replications) -> pool size; None runs in this process
+        for workers, replications, size in ((8, 2, 2), (8, 5, 3),
+                                            (2, 5, 2), (10**6, 10**3, 3),
+                                            (1, 5, None), (4, 1, None)):
+            sizes.clear()
+            seeds, results = cli._run_replications(
+                lambda s: -s, 7, replications, workers)
+            assert results == [-s for s in seeds]
+            assert sizes == ([size] if size else [])
+
+    @needs_fork
+    def test_replications_run_in_other_processes(self, two_cpus):
+        with _deadline(60):
+            _, pids = cli._run_replications(lambda s: os.getpid(), 7, 3, 2)
+        assert len(pids) == 3
+        assert os.getpid() not in pids
+
+    def test_threaded_process_does_not_fork(self, two_cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            _, pids = cli._run_replications(lambda s: os.getpid(), 7, 2, 2)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert pids == [os.getpid()] * 2
+
+    @needs_fork
+    def test_dead_worker_ends_the_run(self, two_cpus):
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            cli._run_replications(lambda s: os._exit(3), 7, 2, 2)
+
+
 class TestReplicationSeed:
     def test_deterministic_and_distinct(self):
         assert replication_seed(7, 0) == replication_seed(7, 0)
@@ -230,15 +342,19 @@ class TestRun:
         assert all(b <= a for a, b in zip(chi, chi[1:]))
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
-        out1, out4 = tmp_path / "w1", tmp_path / "w4"
-        assert main(["run", "--config", cfg, "--out-dir", str(out1),
-                     "--workers", "1"]) == 0
-        assert main(["run", "--config", cfg, "--out-dir", str(out4),
-                     "--workers", "4"]) == 0
-        for name in ("summary.csv", "record.txt", "trace_rep000.csv",
-                     "trace_rep001.csv"):
-            assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+        # 3 replications on 2 workers split unevenly
+        names = ["summary.csv", "record.txt"] + [
+            "trace_rep%03d.csv" % r for r in range(3)]
+        for tag, text in (("mcmc", MCMC_CONFIG), ("ss", SS_RUN_CONFIG)):
+            cfg = _write(tmp_path / (tag + ".ini"), text)
+            files = []
+            for workers in (1, 2, 3):
+                out = tmp_path / ("%s_w%d" % (tag, workers))
+                assert main(["run", "--config", cfg, "--out-dir", str(out),
+                             "--replications-override", "3",
+                             "--workers", str(workers)]) == 0
+                files.append([(out / name).read_bytes() for name in names])
+            assert files[0] == files[1] == files[2]
 
     def test_seed_override_changes_results(self, tmp_path, capsys):
         cfg = _write(tmp_path / "mc.ini", MC_CONFIG)
@@ -328,6 +444,17 @@ class TestConvergence:
         # the larger budget should not be less accurate on this problem
         errs = [float(r[1]) for r in rows[1:]]
         assert errs[1] <= errs[0]
+
+    def test_worker_count_does_not_change_table(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
+        tables = []
+        for workers in (1, 2):
+            out = tmp_path / ("w%d" % workers)
+            assert main(["convergence", "--config", cfg, "--out-dir",
+                         str(out), "--budgets", "1000,4000",
+                         "--workers", str(workers)]) == 0
+            tables.append((out / "convergence.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_empty_budget_list_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)
