@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# replenish is looked up on lla_mcmc at each call, so wrapping it there
+# covers nested's chains too
+from . import lla_mcmc
 # evidence_update, should_stop and constrained_mh_step are called elsewhere;
 # perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
                    CountingLikelihood, LevelTrace, TerminationReason,
                    evidence_update, finalize_estimate, keyed_generators,
                    log_sum_exp, shell_statistics)
-from .lla_mcmc import (KernelConfig, constrained_mh_step,  # noqa: F401
-                       replenish)
+from .lla_mcmc import KernelConfig, constrained_mh_step  # noqa: F401
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
                        StopRun, run_levels, should_stop)
 
 NESTED_WALK_STEPS = 20
+NESTED_REFILL_FRACTION = 0.025   # the LLA estimators' rejected fraction f
 
 
 @dataclass
@@ -64,7 +66,16 @@ def run_mc(problem, n, seed):
 
 
 class _NestedLevels(LevelStrategy):
-    """Replaces the worst live point by one replenish chain each iteration."""
+    """One death per iteration; the dead slots are refilled in batches.
+
+    A dead point stays in its slot until NESTED_REFILL_FRACTION * n_live
+    (rounded up) have died, or until no live point lies strictly above the
+    level.  Then one replenish call runs a chain per dead slot from the
+    survivors above the level and writes them into the slots in the order of
+    death; death i draws from SeedSequence([seed, i])'s stream.  A death
+    with j slots already empty is the lowest of n_live - j uniform points,
+    so it shrinks log chi by 1 / (n_live - j).
+    """
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
@@ -72,46 +83,61 @@ class _NestedLevels(LevelStrategy):
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.live = problem.sample_prior(rng0, config.n_live)
         self.live_log_L = self.logL_fn.rows(self.live)
-        # iteration i replenishes with SeedSequence([seed, i])'s stream;
-        # mass, which draws it, runs once per iteration, in order
-        self.rngs = keyed_generators((seed,), itertools.count(1))
+        self.empty = []                 # dead slots, in the order of death
+        batch = math.ceil(NESTED_REFILL_FRACTION * config.n_live)
+        self.deaths = [0] * batch       # [j]: deaths with j slots empty
 
     def level(self, iteration, trace):
-        self.worst = int(np.argmin(self.live_log_L))
+        log_L = self.live_log_L.copy()
+        log_L[self.empty] = math.inf
+        self.worst = int(np.argmin(log_L))
         log_lambda = float(self.live_log_L[self.worst])
         if log_lambda <= trace.log_lambda_current:
             raise StopRun(TerminationReason.degenerate_level)
         return log_lambda
 
     def mass(self, iteration, log_lambda, trace):
-        # the replacement is drawn before the level is recorded, so its
-        # evaluations count towards this level; with no live point strictly
-        # above (a constant plateau) the run stops before shrinking
+        # a refill is drawn before the level is recorded, so its evaluations
+        # count towards this level; with no live point strictly above (a
+        # constant plateau) the run stops before shrinking.  An empty slot
+        # keeps its dead point, which lies at or below every later level.
         above = self.live_log_L > log_lambda
-        (new,), (new_log_L,) = replenish(
-            self.live[above], self.live_log_L[above], log_lambda, self.stddev,
-            self.config.kernel.steps_per_sample, self.problem, self.logL_fn,
-            [next(self.rngs)])
-        x = math.exp(-iteration / self.config.n_live)
+        slots = self.empty + [self.worst]
+        refill = len(slots) == len(self.deaths) or not above.any()
+        if refill:
+            new, new_log_L = lla_mcmc.replenish(
+                self.live[above], self.live_log_L[above], log_lambda,
+                self.stddev, self.config.kernel.steps_per_sample,
+                self.problem, self.logL_fn,
+                list(keyed_generators((self.seed,), range(
+                    iteration - len(slots) + 1, iteration + 1))))
+        n_live = self.config.n_live
+        self.deaths[len(self.empty)] += 1
+        x = math.exp(-sum(c / (n_live - j) for j, c in enumerate(self.deaths)))
         dead = self.live[[self.worst]]
-        self.live[self.worst] = new
-        self.live_log_L[self.worst] = new_log_L
+        if refill:
+            self.live[slots] = new
+            self.live_log_L[slots] = new_log_L
+        self.empty = [] if refill else slots
         # the live set bounds what the remaining mass can still contribute
         return x, dead, None, self.live_log_L.max() + math.log(x)
 
     def tail(self, trace):
-        # the final live set: each point carries mass chi_final / n_live
-        lam_final, x_final = float(self.live_log_L.max()), trace.chi_current
+        # the final live set, without the empty slots: each point carries
+        # mass chi_final / (number of points)
+        live_log_L = np.delete(self.live_log_L, self.empty)
+        lam_final, x_final = float(live_log_L.max()), trace.chi_current
         if lam_final <= trace.log_lambda_current:
             return None
-        log_live = (log_sum_exp(self.live_log_L) - math.log(self.config.n_live)
+        log_live = (log_sum_exp(live_log_L) - math.log(len(live_log_L))
                     + math.log(x_final)) if x_final > 0 else NEG_INF
-        return lam_final, log_live, self.live
+        return lam_final, log_live, np.delete(self.live, self.empty, axis=0)
 
 
 def run_nested(problem, config, seed):
-    """Classic nested sampling with the deterministic exp(-i/N) volume model.
+    """Nested sampling with one death per level and batched refills.
 
-    The final live set is added as the strategy's tail.
+    Chi follows the deterministic per-slot shrinkage above, which is
+    exp(-i / n_live) when each dead slot is refilled at once (n_live <= 40).  The final live set is added as the strategy's tail.
     """
     return run_levels(_NestedLevels(problem, config, seed))

@@ -263,10 +263,7 @@ def uniform_prior(lo, hi):
     log_density = -math.log(hi - lo)
 
     def log_pdf(x):
-        if isinstance(x, np.ndarray):
-            return np.where((lo <= x) & (x <= hi), log_density, NEG_INF)
-        # the samplers' scalar calls skip np.where's overhead
-        return log_density if lo <= x <= hi else NEG_INF
+        return np.where((lo <= x) & (x <= hi), log_density, NEG_INF)
 
     return MarginalPrior(
         log_pdf=log_pdf,
@@ -310,13 +307,10 @@ class _TruncatedNormal:
         self.log_scale = np.log(scale)
 
     def log_pdf(self, x):
-        """Log density at a float or elementwise on an array; -inf outside
-        the support."""
+        """Log density elementwise; -inf outside the support."""
         z = (x - self.loc) / self.scale
         value = (-z * z / 2.0 - _LOG_SQRT_2PI - self.log_mass) - self.log_scale
-        if isinstance(z, np.ndarray):
-            return np.where((z < self.a) | (z > self.b), NEG_INF, value)
-        return np.float64(NEG_INF if z < self.a or z > self.b else value)
+        return np.where((z < self.a) | (z > self.b), NEG_INF, value)
 
     def inverse_cdf(self, u):
         """Quantile of each u in (0, 1), in the tail where it is accurate."""
@@ -364,8 +358,8 @@ class BayesianProblem:
     log_likelihood_rows, if given, maps an (n, d) array to the (n,)
     log-likelihoods of its rows in one call, and must give for each row
     exactly the value log_likelihood gives: CountingLikelihood.rows
-    evaluates every set of points with it, while lone points still go
-    through log_likelihood.
+    evaluates every set of points with it, and without it calls
+    log_likelihood on each row.
     """
 
     dimension: int
@@ -379,9 +373,7 @@ class BayesianProblem:
 
     def log_prior(self, theta):
         """Log prior density of one vector, or of each row of an (n, d) array."""
-        # a plain loop, not sum() over a generator: on one vector it is the
-        # faster form, and replenish's full-vector scalar step (nested's lone
-        # chain) calls it once per step; the array step calls it on all rows
+        # the samplers call it on whole arrays of rows, one log_pdf per column
         total = 0.0
         for p, x in zip(self.priors, np.asarray(theta, dtype=float).T):
             total += p.log_pdf(x)
@@ -410,13 +402,6 @@ class CountingLikelihood:
         self.fn = fn
         self.rows_fn = rows_fn
         self.count = 0
-
-    def __call__(self, theta):
-        self.count += 1
-        value = float(self.fn(theta))
-        if not value < math.inf:
-            raise ValueError(_invalid_log_likelihood(value, theta))
-        return value
 
     def rows(self, samples):
         """The (n,) log-likelihoods of the rows of an (n, d) array, in order;

@@ -12,10 +12,9 @@ prior, and only then evaluates the likelihood gate on the rows that moved,
 so prior-rejected proposals cost no likelihood evaluations.  Up to
 COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
 coordinate accepts on its own prior ratio.  replenish is the only code that
-moves a chain: nested sampling's one replacement per iteration is a batch of
-one, which steps on the lone vector and on scalars with the same draws, in
-either mode.  A level with no survivor ends the run with
-StopRun(degenerate_level).
+moves a chain, and constrained_mh_step the only step: nested sampling's
+refills of its dead slots are batches too.  A level with no survivor ends
+the run with StopRun(degenerate_level).
 """
 
 from __future__ import annotations
@@ -111,12 +110,8 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     advance together as the rows of one array.  A chain's draws do not
     depend on its state, so they are taken up front: the start index, then
     per step a standard normal vector and one uniform, or d uniforms when
-    moves are component-wise (above COMPONENT_WISE_DIMENSION).  A lone
-    chain, as in nested sampling, steps on its vector and scalars instead:
-    numpy's per-call cost on a one-row array exceeds the step's own work
-    there, and the draws and the arithmetic are the same, so its row is the
-    one the array step gives.  It compares vectors as lists, which agrees
-    with np.array_equal on NaN and on signed zeros at a tenth of the cost.
+    moves are component-wise (above COMPONENT_WISE_DIMENSION).  A chain's
+    row therefore does not depend on the other chains of the batch.
     """
     if len(passing) == 0:
         raise StopRun(TerminationReason.degenerate_level,
@@ -139,38 +134,6 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     log_u = np.log(u, out=u)
 
     state, log_L = passing[starts], passing_log_L[starts]
-    if n == 1 and component_wise:
-        # the component-wise scalar step: constrained_mh_step's tests, in
-        # its order, with each coordinate's log prior taken on its scalar
-        priors, x, x_log_L = problem.priors, state[0], log_L[0]
-        x_list = x.tolist()
-        x_terms = np.array([p.log_pdf(v) for p, v in zip(priors, x_list)])
-        for s in range(steps_per_sample):
-            eta = x + delta[s, 0]
-            eta_terms = np.array([p.log_pdf(v)
-                                  for p, v in zip(priors, eta.tolist())])
-            accept = log_u[s, 0] < eta_terms - x_terms
-            candidate = np.where(accept, eta, x)
-            candidate_list = candidate.tolist()
-            if candidate_list != x_list:
-                candidate_log_L = logL_fn(candidate)
-                if candidate_log_L > log_lambda:
-                    x, x_list, x_log_L = (candidate, candidate_list,
-                                          candidate_log_L)
-                    x_terms = np.where(accept, eta_terms, x_terms)
-        return x[None], np.array([x_log_L])
-    if n == 1:
-        # the full-vector scalar step: constrained_mh_step's tests, in order
-        x, x_log_L, x_log_p = state[0], log_L[0], problem.log_prior(state[0])
-        for s in range(steps_per_sample):
-            eta = x + delta[s, 0]
-            eta_log_p = problem.log_prior(eta)
-            if (log_u[s, 0] < eta_log_p - x_log_p
-                    and eta.tolist() != x.tolist()):
-                eta_log_L = logL_fn(eta)
-                if eta_log_L > log_lambda:
-                    x, x_log_L, x_log_p = eta, eta_log_L, eta_log_p
-        return x[None], np.array([x_log_L])
     log_p = (_log_prior_terms(problem, state) if component_wise
              else problem.log_prior(state))
     for s in range(steps_per_sample):

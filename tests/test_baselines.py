@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from levidence.baselines import (NESTED_WALK_STEPS, NestedConfig, run_mc,
+from levidence import lla_mcmc
+from levidence.baselines import (NESTED_REFILL_FRACTION, NESTED_WALK_STEPS,
+                                 NestedConfig, _NestedLevels, run_mc,
                                  run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
-                            normal_prior, uniform_prior)
+                            log_sum_exp, normal_prior, uniform_prior)
 from levidence.lla_mcmc import KernelConfig
-from levidence.schedule import StoppingPolicy
+from levidence.schedule import StoppingPolicy, run_levels
 
 
 def _uniform_problem():
@@ -79,8 +81,12 @@ class TestRunMC:
 
 class TestRunNested:
     def test_uniform_linear_accuracy(self):
-        # longer walks keep duplicate live points (and the resulting early
-        # plateau stop) rare on this one-sided likelihood
+        # seeds 0-39 all end on degenerate_level, near chi = 0.01: the
+        # region above the level grows narrower than the fixed proposal
+        # scale, a refill chain that never moves duplicates a survivor, and
+        # the copy's death cannot lie strictly above the original's.  The
+        # final live set's tail credits the mass left; longer walks postpone
+        # the stop
         cfg = NestedConfig(n_live=300,
                            kernel=KernelConfig(steps_per_sample=40),
                            stopping=StoppingPolicy(max_iterations=20000,
@@ -97,14 +103,71 @@ class TestRunNested:
         assert est.log_evidence == pytest.approx(expect, abs=0.05)
 
     def test_volume_model_is_deterministic_shrinkage(self):
+        # all but the final live-set row: death i, with j = (i - 1) mod k
+        # slots already empty, shrinks log chi by 1 / (n_live - j), where
+        # k = ceil(0.025 n_live) dead slots are refilled at once; at
+        # n_live <= 40, k = 1 and chi is exactly exp(-i / n_live)
+        for n_live, k in ((40, 1), (100, 3)):
+            assert math.ceil(NESTED_REFILL_FRACTION * n_live) == k
+            cfg = NestedConfig(n_live=n_live,
+                               stopping=StoppingPolicy(max_iterations=50,
+                                                       max_evals=10**6))
+            est = run_nested(_uniform_problem(), cfg, seed=2)
+            chi = est.trace.chi[:-1]
+            assert len(chi) == 50
+            log_x = 0.0
+            for i, x in enumerate(chi, start=1):
+                log_x -= 1.0 / (n_live - (i - 1) % k)
+                assert x == pytest.approx(math.exp(log_x), rel=1e-12)
+                if k == 1:
+                    assert x == math.exp(-i / n_live)
+
+    def test_dead_slots_refill_in_batches(self, monkeypatch):
+        # n_live = 100 refills k = 3 dead slots per replenish call, looked
+        # up on lla_mcmc; the chain of death i draws from
+        # SeedSequence([seed, i])'s stream
+        refills = []
+
+        def recording(passing, passing_log_L, log_lambda, *args):
+            rngs = args[-1]
+            refills.append([rng.bit_generator.state["state"]
+                            for rng in rngs])
+            assert np.all(passing_log_L > log_lambda)
+            assert len(passing) == 100 - len(rngs)
+            return replenish(passing, passing_log_L, log_lambda, *args)
+
+        replenish = lla_mcmc.replenish
+        monkeypatch.setattr(lla_mcmc, "replenish", recording)
         cfg = NestedConfig(n_live=100,
-                           stopping=StoppingPolicy(max_iterations=50,
-                                                   max_evals=10**6))
-        est = run_nested(_uniform_problem(), cfg, seed=2)
-        # all but the final live-set row follow exp(-i / n_live)
-        chi = est.trace.chi[:-1]
-        for i, x in enumerate(chi, start=1):
-            assert x == pytest.approx(math.exp(-i / 100.0), rel=1e-12)
+                           stopping=StoppingPolicy(max_iterations=30))
+        est = run_nested(_uniform_problem(), cfg, seed=6)
+        assert est.termination_reason == TerminationReason.max_iterations
+        assert refills == [
+            [np.random.default_rng(np.random.SeedSequence([6, i]))
+             .bit_generator.state["state"] for i in range(j, j + 3)]
+            for j in range(1, 31, 3)]
+        # each refill's evaluations count towards the level of its last
+        # death, so the count grows only every third level
+        n_evals = est.trace.n_evals[:-1]
+        assert n_evals[0] == n_evals[1] == 100
+        assert n_evals[2] > 100 and n_evals[3] == n_evals[2]
+
+    def test_tail_credits_live_slots_only(self):
+        # 50 deaths at n_live = 100 leave 50 mod 3 = 2 slots empty; each of
+        # the 98 live points carries chi_final / 98
+        cfg = NestedConfig(n_live=100,
+                           stopping=StoppingPolicy(max_iterations=50))
+        levels = _NestedLevels(_uniform_problem(), cfg, 2)
+        trace = run_levels(levels).trace
+        assert len(levels.empty) == 2
+        alive = np.ones(100, dtype=bool)
+        alive[levels.empty] = False
+        assert np.all(levels.live_log_L[~alive] <= trace.log_lambda[-2])
+        assert trace.log_evidence_increments[-1] == pytest.approx(
+            log_sum_exp(levels.live_log_L[alive]) - math.log(98)
+            + math.log(trace.chi[-2]), rel=1e-12)
+        assert trace.shell_means[-1] == pytest.approx(
+            levels.live[alive].mean(axis=0).tolist())
 
     def test_levels_strictly_increase(self):
         cfg = NestedConfig(n_live=100,

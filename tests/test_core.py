@@ -364,7 +364,7 @@ class TestCountingLikelihood:
     def test_counts_calls(self):
         fn = CountingLikelihood(lambda t: float(t[0]))
         for i in range(7):
-            fn(np.array([float(i)]))
+            fn.rows(np.array([[float(i)]]))
         assert fn.count == 7
 
     def test_rows_equal_calls_and_count(self):
@@ -376,7 +376,8 @@ class TestCountingLikelihood:
                          for _ in range(2))
         values = batch.rows(x)
         assert values.dtype == float and values.shape == (50,)
-        assert values.tolist() == [single(t) for t in x]
+        assert values.tolist() == [single.rows(t[None])[0] for t in x]
+        assert values.tolist() == [problem.log_likelihood(t) for t in x]
         assert batch.count == single.count == 50
 
     def test_empty_rows(self):
@@ -405,8 +406,6 @@ class TestCountingLikelihood:
             assert values.tolist() == loop.rows(x[:n]).tolist()
         assert calls == [6, 1, 3]
         assert fn.count == loop.count == 10
-        fn(x[0])  # a lone point goes through the scalar form
-        assert calls == [6, 1, 3] and fn.count == 11
 
     @pytest.mark.parametrize("shape", [(3, 1), (2,), (4,), ()])
     def test_wrong_shape_batch_form_raises(self, shape):
@@ -419,9 +418,9 @@ class TestCountingLikelihood:
     def test_nan_and_plus_inf_raise(self, bad):
         scalar = lambda t: bad if t[0] > 0.5 else NEG_INF
         fn = CountingLikelihood(scalar)
-        assert fn(np.array([0.1])) == NEG_INF
+        assert fn.rows(np.array([[0.1]])) == NEG_INF
         with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
-            fn(np.array([0.75]))
+            fn.rows(np.array([[0.75]]))
         x = np.array([[0.25], [0.75], [1.0]])
         with pytest.raises(ValueError, match=r"%s at theta = \[0.75\]" % bad):
             fn.rows(x)

@@ -193,10 +193,11 @@ class TestReplenish:
         assert exc.value.reason == TerminationReason.degenerate_level
 
     @pytest.mark.parametrize("d", [1, 3, 10, 11, 12])
-    def test_rows_equal_lone_paths(self, d):
-        # a chain run alone takes the scalar step, full-vector up to
-        # COMPONENT_WISE_DIMENSION and component-wise above, and equals its
-        # row of the batch when its generator has the same key
+    def test_rows_do_not_depend_on_batch_size(self, d):
+        # full-vector up to COMPONENT_WISE_DIMENSION and component-wise
+        # above, a chain's row is the same in a batch of 30, of 7 and of
+        # one (nested sampling's refill at n_live <= 40) when its generator
+        # has the same key
         seen = []
         problem = _mixed_problem(d, seen)
         passing, passing_log_L, lam = _survivors(problem, 400, d)
@@ -225,6 +226,8 @@ class TestReplenish:
         assert 0 < batch_calls <= 30 * steps
         assert component_wise or batch_calls < 30 * steps
         assert min(v for _, v in seen) <= lam
+        s_seven, ll_seven = run(chains[3:10])
+        assert np.all(s_seven == s[3:10]) and np.all(ll_seven == ll[3:10])
         del seen[:]
         for row, log_L_row, chain in zip(s, ll, chains):
             s_one, ll_one = run([chain])

@@ -170,7 +170,7 @@ class _Halving(LevelStrategy):
         self.log_bound, self.stop_after = log_bound, stop_after
 
     def level(self, iteration, trace):
-        self.logL_fn(np.zeros(1))
+        self.logL_fn.rows(np.zeros((1, 1)))
         return 1e-3 * iteration
 
     def mass(self, iteration, log_lambda, trace):

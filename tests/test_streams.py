@@ -2,12 +2,14 @@
 
 The values were recorded before chain generators came from
 core.keyed_generators, when every chain built its own
-default_rng(SeedSequence([seed, iteration, chain])), and the regression
-pins before its likelihood had a batch form; they are asserted with ==, so
+default_rng(SeedSequence([seed, iteration, chain])), the regression pins
+before its likelihood had a batch form, and the default nested pins when
+nested refilled its dead slots in batches; they are asserted with ==, so
 any change of stream fails here.  The second half checks that no
 estimator builds a SeedSequence per chain.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -23,13 +25,13 @@ PINNED = [
     ("conjugate_gaussian", run_lla_mcmc, MCMCConfig, 7,
      "-82.70194792645249", 12126),
     ("conjugate_gaussian", run_nested, NestedConfig, 7,
-     "-77.72571418736335", 2352),
+     "-77.61372875565472", 2171),
     ("conjugate_gaussian", run_lla_ss, SSConfig, 7,
      "-127.37082100101874", 20000),
     ("bimodal_2d", run_lla_mcmc, MCMCConfig, 7,
      "-1.1898060202503495", 12921),
     ("bimodal_2d", run_nested, NestedConfig, 7,
-     "0.11376170588087434", 2305),
+     "0.13540058127773322", 2148),
     ("bimodal_2d", run_lla_ss, SSConfig, 7,
      "-11.364245464333388", 20000),
     # the regression likelihood's batch form, through every set of points
@@ -42,12 +44,31 @@ PINNED = [
      "-83.07749022708255", 12179),
     ("conjugate_gaussian", run_lla_mcmc, MCMCConfig, 2**70 + 5,
      "-82.35397398608876", 12054),
+    # nested with n_live <= 40 refills each dead slot on its own, a batch
+    # of one chain; recorded when a lone chain took scalar steps,
+    # full-vector on conjugate_gaussian (a run to its plateau stop) and
+    # component-wise on highdim_gaussian_100
+    ("conjugate_gaussian", run_nested,
+     functools.partial(NestedConfig, n_live=40,
+                       stopping=StoppingPolicy(max_iterations=300)), 7,
+     "-77.2619105693062", 3512),
+    ("highdim_gaussian_100", run_nested,
+     functools.partial(NestedConfig, n_live=40,
+                       stopping=StoppingPolicy(max_iterations=60)), 7,
+     "-167.39857603317964", 1240),
 ]
+
+
+def _pin_id(pin):
+    name, run, config, seed = pin[:4]
+    n_live = getattr(config, "keywords", {}).get("n_live")
+    return "%s-%s-%d%s" % (name, run.__name__, seed,
+                           "" if n_live is None else "-n_live%d" % n_live)
 
 
 @pytest.mark.parametrize(
     "name, run, config, seed, log_evidence, total_evals", PINNED,
-    ids=["%s-%s-%d" % (p[0], p[1].__name__, p[3]) for p in PINNED])
+    ids=[_pin_id(p) for p in PINNED])
 def test_default_runs_are_pinned(name, run, config, seed, log_evidence,
                                  total_evals):
     problem, _ = make_benchmark(name, 7)
