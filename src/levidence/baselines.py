@@ -138,6 +138,7 @@ def run_nested(problem, config, seed):
     """Nested sampling with one death per level and batched refills.
 
     Chi follows the deterministic per-slot shrinkage above, which is
-    exp(-i / n_live) when each dead slot is refilled at once (n_live <= 40).  The final live set is added as the strategy's tail.
+    exp(-i / n_live) when each dead slot is refilled at once (n_live <= 40).
+    The final live set is added as the strategy's tail.
     """
     return run_levels(_NestedLevels(problem, config, seed))

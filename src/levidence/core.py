@@ -2,8 +2,10 @@
 
 Everything here is shared by the level-adapted estimators and the baselines:
 numerically safe log-sum-exp, effective sample size, the rectangle-rule
-evidence update, posterior-moment recovery from a level trace, and the keyed
-generators that seed the Markov chains.
+evidence update, posterior-moment recovery from a level trace, the keyed
+generators that seed the Markov chains, and the one inverse-CDF draw
+(from_unit) and product density (log_density) that the prior, the IS
+density and the SS strata share.
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ def log_sum_exp(xs):
     if m == NEG_INF:
         return NEG_INF
     return float(m + np.log(np.sum(np.exp(xs - m))))
-
-
-def clip_open(u):
-    """u clipped to [1e-16, 1 - 1e-16], so that inverse-CDF sampling stays
-    clear of infinite quantiles."""
-    return np.clip(u, 1e-16, 1.0 - 1e-16)
 
 
 def effective_sample_size(weights):
@@ -221,6 +217,23 @@ class MarginalPrior:
     std: float = 1.0
 
 
+def from_unit(marginals, u):
+    """(n, d) points: column k is marginals[k].inverse_cdf of row k of the
+    (d, n) uniforms u, clipped to [1e-16, 1 - 1e-16] so that no quantile is
+    infinite.  Every inverse-CDF draw of a set of points goes through here."""
+    u = np.clip(u, 1e-16, 1.0 - 1e-16)
+    return np.column_stack([m.inverse_cdf(r) for m, r in zip(marginals, u)])
+
+
+def log_density(marginals, theta):
+    """Log density of a product of marginals at one vector, or at each row
+    of an (n, d) array: one log_pdf per column, summed in column order."""
+    total = 0.0
+    for m, x in zip(marginals, np.asarray(theta, dtype=float).T):
+        total += m.log_pdf(x)
+    return total
+
+
 def _check_normal(mean, std):
     if not math.isfinite(mean):
         raise ValueError("need a finite mean")
@@ -373,17 +386,10 @@ class BayesianProblem:
 
     def log_prior(self, theta):
         """Log prior density of one vector, or of each row of an (n, d) array."""
-        # the samplers call it on whole arrays of rows, one log_pdf per column
-        total = 0.0
-        for p, x in zip(self.priors, np.asarray(theta, dtype=float).T):
-            total += p.log_pdf(x)
-        return total
+        return log_density(self.priors, theta)
 
     def sample_prior(self, rng, n=1):
-        out = np.empty((n, self.dimension))
-        for k, p in enumerate(self.priors):
-            out[:, k] = p.inverse_cdf(clip_open(rng.uniform(size=n)))
-        return out
+        return from_unit(self.priors, rng.random((self.dimension, n)))
 
     @property
     def support(self):

@@ -39,23 +39,19 @@ class GaussianISD:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.stddev = np.asarray(self.stddev, dtype=float)
-        if np.any(self.stddev <= 0):
-            raise ValueError("ISD stddev entries must be positive")
+        for m, s in zip(self.mean, self.stddev):
+            core._check_normal(m, s)
         self._dists = [
             core._TruncatedNormal(m, s, lo, hi)
             for m, s, (lo, hi) in zip(self.mean, self.stddev, self.support)
         ]
 
     def sample(self, rng, n):
-        out = np.empty((n, len(self.mean)))
-        for k, d in enumerate(self._dists):
-            out[:, k] = d.inverse_cdf(core.clip_open(rng.uniform(size=n)))
-        return out
+        return core.from_unit(self._dists, rng.random((len(self.mean), n)))
 
     def log_pdf(self, theta):
         """Log density of one vector, or of each row of an (n, d) array."""
-        theta = np.asarray(theta, dtype=float)
-        return sum(d.log_pdf(x) for d, x in zip(self._dists, theta.T))
+        return core.log_density(self._dists, theta)
 
 
 @dataclass
@@ -74,12 +70,13 @@ class ISConfig:
         if not 0 <= self.ess_threshold_fraction <= 1:
             raise ConfigFieldError("ess_threshold_fraction",
                                    "ess_threshold_fraction must lie in [0, 1]")
-        if not self.stddev_multiplier > 0:
-            raise ConfigFieldError("stddev_multiplier",
-                                   "stddev_multiplier must be positive")
-        if not (self.stddev_override is None or self.stddev_override > 0):
-            raise ConfigFieldError("stddev_override",
-                                   "stddev_override must be positive")
+        if not 0 < self.stddev_multiplier < math.inf:
+            raise ConfigFieldError("stddev_multiplier", "stddev_multiplier "
+                                   "must be positive and finite")
+        if not (self.stddev_override is None
+                or 0 < self.stddev_override < math.inf):
+            raise ConfigFieldError("stddev_override", "stddev_override "
+                                   "must be positive and finite")
 
 
 def fit_isd(retained_samples, multiplier, prior_support, stddev_override=None):

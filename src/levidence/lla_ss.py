@@ -1,9 +1,10 @@
 """Level-adapted stratified sampling estimator.
 
 The prior is cut into equal-mass strata through the inverse marginal CDFs.
-Samples accumulate across iterations in one pool, each row tagged with the
-stratum it was drawn in; strata whose pooled samples all fall below the
-current level are retired and never sampled again.
+Each level draws every active stratum's uniforms from its own generator and
+maps the whole level into the strata's cells in one inverse-CDF pass.  The
+samples accumulate in one pool, each row tagged with its stratum; strata
+whose pooled samples all fall below the current level are retired.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError, TerminationReason,  # noqa: F401
-                   clip_open, evidence_update, finalize_estimate,
+                   evidence_update, finalize_estimate, from_unit,
                    keyed_generators, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
@@ -85,18 +86,15 @@ def build_strata(problem, per_dim_counts):
                       active=np.ones(total, dtype=bool))
 
 
-def sample_stratum(problem, per_dim_counts, stratum, n, rng):
-    """Draw prior samples restricted to one stratum via inverse CDFs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = np.empty((n, problem.dimension))
-    for k, (prior, c, s_k) in enumerate(
-            zip(problem.priors, per_dim_counts, stratum)):
-        lo, hi = (s_k - 1) / c, s_k / c
-        # u on the half-open cell (lo, hi]
-        u = clip_open(lo + (hi - lo) * (1.0 - rng.uniform(size=n)))
-        out[:, k] = prior.inverse_cdf(u)
-    return out
+def sample_stratum(problem, per_dim_counts, owner, u):
+    """Prior samples via inverse CDFs: row j lies in the stratum at grid
+    position owner[j] (C order, as build_strata lists them), placed in its
+    cell by column j of the (d, n) uniforms u."""
+    counts = np.reshape(per_dim_counts, (-1, 1))
+    cell = np.array(np.unravel_index(owner, per_dim_counts))
+    lo, hi = cell / counts, (cell + 1) / counts
+    # u on the half-open cell (lo, hi]
+    return from_unit(problem.priors, lo + (hi - lo) * (1.0 - u))
 
 
 def _active_counts(grid, log_lambda):
@@ -144,16 +142,15 @@ class _SSLevels(LevelStrategy):
         base, rem = divmod(max(self.config.n_per_iteration, len(active)),
                            len(active))
         sizes = [base + (i < rem) for i in range(len(active))]
-        new = []
         # stratum pos draws from SeedSequence([seed, iteration, pos])'s stream
         rngs = keyed_generators((self.seed, iteration), active)
-        for pos, n_s, rng in zip(active, sizes, rngs):
-            new.append(sample_stratum(self.problem, grid.per_dim_counts,
-                                      grid.strata[pos], n_s, rng))
-        new = np.vstack(new)
+        u = np.hstack([rng.random((self.problem.dimension, n_s))
+                       for n_s, rng in zip(sizes, rngs)])
+        owner = np.repeat(active, sizes)
+        new = sample_stratum(self.problem, grid.per_dim_counts, owner, u)
         grid.samples = np.vstack([grid.samples, new])
         grid.log_L = np.concatenate([grid.log_L, self.logL_fn.rows(new)])
-        grid.owner = np.concatenate([grid.owner, np.repeat(active, sizes)])
+        grid.owner = np.concatenate([grid.owner, owner])
 
         # the level looks at every likelihood value ever drawn (retired
         # strata included) so the order statistic stays continuous when a

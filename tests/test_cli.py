@@ -180,6 +180,13 @@ class TestLoadConfig:
              "a.ini:10: chi_tol must be positive"),
             (IS_CONFIG + "stddev_multiplier = nan\n", [],
              "a.ini:8: stddev_multiplier must be positive"),
+            # an infinite ISD stddev would sample NaN points
+            (IS_CONFIG + "stddev_multiplier = inf\n", [],
+             "a.ini:8: stddev_multiplier must be positive and finite"),
+            (IS_CONFIG + "stddev_override = inf\n", [],
+             "a.ini:8: stddev_override must be positive and finite"),
+            (IS_CONFIG + "stddev_override = nan\n", [],
+             "a.ini:8: stddev_override must be positive and finite"),
             (MC_CONFIG.replace("n = 2000", "n = 0"), [],
              "a.ini:8: n must be >= 1"),
             # configparser would copy [DEFAULT] into every section

@@ -27,6 +27,16 @@ class TestGaussianISD:
             GaussianISD(mean=np.array([0.0]), stddev=np.array([0.0]),
                         support=[(-1.0, 1.0)])
 
+    @pytest.mark.parametrize("mean, stddev", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0),
+        (-math.inf, 1.0)])
+    def test_rejects_non_finite_mean_or_stddev(self, mean, stddev):
+        # checked in every dimension, not only the first
+        with pytest.raises(ValueError, match="finite|std > 0"):
+            GaussianISD(mean=np.array([0.0, mean]),
+                        stddev=np.array([1.0, stddev]),
+                        support=[(-1.0, 1.0)] * 2)
+
     def test_samples_stay_in_support(self):
         isd = GaussianISD(mean=np.array([0.9]), stddev=np.array([1.0]),
                           support=[(0.0, 1.0)])
@@ -170,6 +180,8 @@ class TestRunLLAIS:
                     {"ess_threshold_fraction": 1.5},
                     {"stddev_override": 0.0},
                     {"stddev_override": math.nan},
+                    {"stddev_multiplier": math.inf},
+                    {"stddev_override": math.inf},
                     {"n_initial": math.nan}):
             with pytest.raises(ValueError):
                 ISConfig(**bad)

@@ -1,5 +1,6 @@
 """Tests for the stratified-sampling evidence estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from scipy import stats
 
 from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
-                            TerminationReason, normal_prior, uniform_prior)
-from levidence.lla_ss import (SSConfig, StratificationError, build_strata,
-                              chi_ss, run_lla_ss, sample_stratum, var_chi_ss)
+                            LevelTrace, TerminationReason, keyed_generators,
+                            normal_prior, uniform_prior)
+from levidence.lla_ss import (SSConfig, StratificationError, _SSLevels,
+                              build_strata, chi_ss, run_lla_ss,
+                              sample_stratum, var_chi_ss)
 from levidence.models import make_benchmark
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
@@ -59,43 +62,78 @@ class TestBuildStrata:
             build_strata(problem, (10,) * 8)
 
 
+def _uniforms(seed, d, n):
+    return np.random.default_rng(seed).random((d, n))
+
+
+def _counted(prior, shapes):
+    """prior with an inverse_cdf that records the shape of each call."""
+    def inverse_cdf(u):
+        shapes.append(np.shape(u))
+        return prior.inverse_cdf(u)
+    return dataclasses.replace(prior, inverse_cdf=inverse_cdf)
+
+
 class TestSampleStratum:
     def test_uniform_membership(self):
         problem = _uniform_problem()
-        s = sample_stratum(problem, (5,), (3,), 200,
-                           np.random.default_rng(0))
+        # position 2 is stratum (3,)
+        s = sample_stratum(problem, (5,), np.full(200, 2),
+                           _uniforms(0, 1, 200))
         assert np.all((s > 0.4) & (s <= 0.6))
 
     def test_normal_median_split(self):
         problem = BayesianProblem(
             dimension=1, priors=[normal_prior(0.0, 1.0)],
             log_likelihood=lambda t: 0.0)
-        lo = sample_stratum(problem, (2,), (1,), 200,
-                            np.random.default_rng(1))
-        hi = sample_stratum(problem, (2,), (2,), 200,
-                            np.random.default_rng(2))
-        assert np.all(lo <= 0.0)
-        assert np.all(hi >= 0.0)
+        s = sample_stratum(problem, (2,), np.repeat([0, 1], 200),
+                           _uniforms(1, 1, 400))
+        assert np.all(s[:200] <= 0.0)
+        assert np.all(s[200:] >= 0.0)
 
     def test_pooled_strata_reproduce_prior_moments(self):
         problem = BayesianProblem(
             dimension=1, priors=[normal_prior(0.0, 1.0)],
             log_likelihood=lambda t: 0.0)
-        pools = [sample_stratum(problem, (5,), (k,), 20000,
-                                np.random.default_rng(k))
-                 for k in range(1, 6)]
-        pooled = np.concatenate(pools).ravel()
+        pooled = sample_stratum(problem, (5,), np.repeat(np.arange(5), 20000),
+                                _uniforms(2, 1, 100000)).ravel()
         se_mean = 1.0 / math.sqrt(pooled.size)
         assert abs(pooled.mean()) < 3 * se_mean
         assert pooled.var() == pytest.approx(1.0, abs=0.02)
 
     def test_2d_membership(self):
+        # every grid position lands in the cell of build_strata's stratum
         problem = BayesianProblem(
             dimension=2, priors=[uniform_prior(0, 1), uniform_prior(0, 1)],
             log_likelihood=lambda t: 0.0)
-        s = sample_stratum(problem, (2, 2), (2, 1), 100,
-                           np.random.default_rng(3))
-        assert np.all((s[:, 0] > 0.5) & (s[:, 1] <= 0.5))
+        grid = build_strata(problem, (2, 3))
+        owner = np.repeat(np.arange(6), 50)
+        s = sample_stratum(problem, (2, 3), owner, _uniforms(3, 2, 300))
+        cells = np.array(grid.strata)[owner]
+        assert np.all(((cells - 1) / (2, 3) < s) & (s <= cells / (2, 3)))
+
+    def test_level_maps_every_stratum_in_one_pass(self):
+        # one inverse_cdf call per dimension for the whole (5, 5) grid, and
+        # each stratum's rows as its own generator draws them alone
+        shapes = []
+        problem = BayesianProblem(
+            dimension=2, priors=[_counted(uniform_prior(0, 1), shapes),
+                                 _counted(normal_prior(0, 1), shapes)],
+            log_likelihood=lambda t: -float(t @ t))
+        levels = _SSLevels(problem, SSConfig(per_dim_counts=(5, 5),
+                                             n_per_iteration=60), 3)
+        levels.level(1, LevelTrace())
+        assert shapes == [(60,), (60,)]
+        grid = levels.grid
+        for pos, rng in enumerate(keyed_generators((3, 1), range(25))):
+            # the stratum drawn on its own, one uniform(size=n) per dimension
+            n, expect = (3 if pos < 10 else 2), []
+            for prior, c in zip(problem.priors, grid.strata[pos]):
+                lo, hi = (c - 1) / 5, c / 5
+                u = lo + (hi - lo) * (1.0 - rng.uniform(size=n))
+                expect.append(prior.inverse_cdf(np.clip(u, 1e-16, 1 - 1e-16)))
+            assert np.array_equal(grid.samples[grid.owner == pos],
+                                  np.column_stack(expect))
 
 
 class TestChiSS:
@@ -182,8 +220,8 @@ class TestRunLLASS:
         ss_vals, mc_vals = [], []
         for seed in range(100):
             grid = build_strata(problem, (1,))
-            s = sample_stratum(problem, (1,), (1,), 200,
-                               np.random.default_rng(seed))
+            s = sample_stratum(problem, (1,), np.zeros(200, dtype=int),
+                               _uniforms(seed, 1, 200))
             grid.samples = s
             grid.log_L = np.array([problem.log_likelihood(t) for t in s])
             grid.owner = np.zeros(len(s), dtype=int)

@@ -1,11 +1,12 @@
 """The random streams of the estimators, pinned to exact values.
 
-The values were recorded before chain generators came from
-core.keyed_generators, when every chain built its own
-default_rng(SeedSequence([seed, iteration, chain])), the regression pins
-before its likelihood had a batch form, and the default nested pins when
-nested refilled its dead slots in batches; they are asserted with ==, so
-any change of stream fails here.  The second half checks that no
+Each group of values was recorded before a change that had to keep it:
+chain generators from core.keyed_generators (the first pins, recorded when
+every chain built its own default_rng(SeedSequence([seed, iteration,
+chain]))), the regression likelihood's batch form, nested's batched refills,
+and every sampler drawing its points through core.from_unit (the
+importance-sampling and d = 4 stratified pins).  They are asserted with ==,
+so any change of stream fails here.  The second half checks that no
 estimator builds a SeedSequence per chain.
 """
 
@@ -15,8 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
-from levidence import (MCMCConfig, NestedConfig, SSConfig, StoppingPolicy,
-                       run_lla_mcmc, run_lla_ss, run_nested)
+from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
+                       StoppingPolicy, run_lla_is, run_lla_mcmc, run_lla_ss,
+                       run_nested)
 from levidence.core import LevelTrace
 from levidence.lla_mcmc import _MCMCLevels
 from levidence.models import make_benchmark
@@ -56,6 +58,16 @@ PINNED = [
      functools.partial(NestedConfig, n_live=40,
                        stopping=StoppingPolicy(max_iterations=60)), 7,
      "-167.39857603317964", 1240),
+    # prior and importance-density draws at d = 1 and 3, and a
+    # stratified level at d = 4 (625 strata)
+    ("conjugate_gaussian", run_lla_is, ISConfig, 7,
+     "-91.21260898709264", 20117),
+    ("truncated_gaussian_1d", run_lla_is, ISConfig, 7,
+     "13.06396738674854", 20660),
+    ("polynomial_regression_d2", run_lla_is, ISConfig, 7,
+     "-69007.90236125528", 20001),
+    ("polynomial_regression_d3", run_lla_ss, SSConfig, 7,
+     "-43037.22517631102", 20437),
 ]
 
 

@@ -1,0 +1,106 @@
+"""SHA-256 fingerprints of estimator runs, to show that a change kept every
+output bit for bit.
+
+    python3 tools/fingerprint.py            # 85 runs, about 15 s
+    python3 tools/fingerprint.py --quick    # a few runs, under 1 s
+
+Each run prints one line: benchmark, estimator, config, seed and a SHA-256
+over the log-evidence, the evaluation count, the stop reason, the lambda,
+chi and n_evals traces, the posterior moments and the Monte Carlo standard
+error.  The last line is a SHA-256 over all run lines.  Run it on two
+checkouts and compare the output; it imports levidence from the src/ next
+to this file, and from nowhere else.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from levidence import (ISConfig, KernelConfig, LevelPolicy,  # noqa: E402
+                       MCMCConfig, NestedConfig, SSConfig, StoppingPolicy,
+                       make_benchmark, run_lla_is, run_lla_mcmc, run_lla_ss,
+                       run_mc, run_nested)
+
+BENCHMARKS = ("conjugate_gaussian", "uniform_linear", "truncated_gaussian_1d",
+              "bimodal_2d", "polynomial_regression_d1",
+              "polynomial_regression_d2", "polynomial_regression_d3")
+SEEDS = (7, 8)
+QUICK_SEED = 7
+
+
+def _criterion_1_is():
+    return ISConfig(
+        n_initial=1000, ess_threshold_fraction=0.001, stddev_override=0.125,
+        level_policy=LevelPolicy(f_init=0.025, f_slope=0.025, f_max=0.3,
+                                 escalation_factor=1.5, escalation_cap=0.999),
+        stopping=StoppingPolicy(max_iterations=250, max_evals=25000))
+
+
+def _capped_criterion_3_mcmc():
+    return MCMCConfig(
+        n_samples=500, n_replace=50, kernel=KernelConfig(steps_per_sample=3),
+        stopping=StoppingPolicy(delta_evidence_tol=1e-4, chi_tol=1e-30,
+                                max_iterations=2000, max_evals=5000))
+
+
+# (estimator, config name, run(problem, seed))
+RUNS = (
+    ("lla_is", "default", lambda p, s: run_lla_is(p, ISConfig(), s)),
+    ("lla_is", "criterion1", lambda p, s: run_lla_is(p, _criterion_1_is(), s)),
+    ("lla_mcmc", "default", lambda p, s: run_lla_mcmc(p, MCMCConfig(), s)),
+    ("nested", "default", lambda p, s: run_nested(p, NestedConfig(), s)),
+    ("mc", "n20000", lambda p, s: run_mc(p, 20000, s)),
+    ("lla_ss", "default", lambda p, s: run_lla_ss(p, SSConfig(), s)),
+)
+HIGHDIM = ("highdim_gaussian_100", "lla_mcmc", "criterion3_capped",
+           lambda p, s: run_lla_mcmc(p, _capped_criterion_3_mcmc(), s))
+
+
+def plan(quick):
+    """(benchmark, estimator, config name, run, seed) for every run."""
+    if quick:
+        return [("conjugate_gaussian", est, name, run, QUICK_SEED)
+                for est, name, run in RUNS]
+    return [(bench, est, name, run, seed)
+            for bench in BENCHMARKS for seed in SEEDS
+            for est, name, run in RUNS] + [(*HIGHDIM, SEEDS[0])]
+
+
+def digest(est):
+    """SHA-256 over what a run returns, floats by their repr."""
+    trace = est.trace
+    fields = (est.log_evidence, est.total_evals,
+              est.termination_reason.value, trace.log_lambda, trace.chi,
+              trace.n_evals, est.posterior_mean.tolist(),
+              est.posterior_variance.tolist(), est.standard_error_log)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="run the subset on conjugate_gaussian only")
+    args = parser.parse_args(argv)
+    problems = {}
+    total = hashlib.sha256()
+    for bench, est_name, config, run, seed in plan(args.quick):
+        if bench not in problems:
+            problems[bench] = make_benchmark(bench, 7)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = run(problems[bench], seed)
+        line = "%s %s %s %d %s" % (bench, est_name, config, seed, digest(est))
+        total.update((line + "\n").encode())
+        print(line, flush=True)
+    print("total %s" % total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
