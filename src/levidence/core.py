@@ -4,8 +4,11 @@ Everything here is shared by the level-adapted estimators and the baselines:
 numerically safe log-sum-exp, effective sample size, the rectangle-rule
 evidence update, posterior-moment recovery from a level trace, the keyed
 generators that seed the Markov chains, and the one inverse-CDF draw
-(from_unit) and product density (log_density) that the prior, the IS
-density and the SS strata share.
+(from_unit), per-coordinate log density (log_terms) and product density
+(log_density) that the prior, the IS density and the SS strata share.
+These three act on blocks (marginal_blocks): the coordinates whose
+marginals share a family key are one block, drawn and evaluated in one
+call, so a 100-d problem with one shared prior makes one call, not 100.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -204,10 +207,12 @@ def _keyed_generators(head, keys, hash_a):
 class MarginalPrior:
     """One independent 1-D prior marginal.
 
-    log_pdf and inverse_cdf act elementwise on a float or an array and must
-    agree; support is a (lo, hi) pair (entries may be infinite).  mean/std
-    set the MCMC proposal scale and the grid oracle's bounds on an infinite
-    support.
+    log_pdf and inverse_cdf act elementwise on a float or an array of any
+    shape and must agree; support is a (lo, hi) pair (entries may be
+    infinite).  mean/std set the MCMC proposal scale and the grid oracle's
+    bounds on an infinite support.  family, if not None, is a hashable key
+    that names the distribution: marginals with equal keys must be the same
+    distribution, and are evaluated and drawn together (marginal_blocks).
     """
 
     log_pdf: Callable
@@ -215,22 +220,63 @@ class MarginalPrior:
     support: tuple
     mean: float = 0.0
     std: float = 1.0
+    family: Hashable = None
 
 
-def from_unit(marginals, u):
-    """(n, d) points: column k is marginals[k].inverse_cdf of row k of the
-    (d, n) uniforms u, clipped to [1e-16, 1 - 1e-16] so that no quantile is
-    infinite.  Every inverse-CDF draw of a set of points goes through here."""
+def marginal_blocks(marginals):
+    """(marginal, cols) pairs in order of first column: the columns of
+    marginals with one family key (an attribute; None for no key), each
+    evaluated and drawn in one call through the first marginal's attributes,
+    looked up at call time so that a wrapper set on that object sees it.
+
+    cols is slice(None) when one family covers every column, the index array
+    of a family of several columns, or else one column index, whose marginal
+    sees 1-D columns.  Build the blocks once per product, not per call.
+    """
+    groups = {}
+    for k, m in enumerate(marginals):
+        key = getattr(m, "family", None)
+        # a marginal without a key is a family of its own, named by its
+        # column; an int never equals the 1-tuple of a key
+        groups.setdefault(k if key is None else (key,), (m, []))[1].append(k)
+    if len(groups) == 1 and len(marginals) > 1:
+        return ((marginals[0], slice(None)),)
+    return tuple((m, cols[0] if len(cols) == 1 else np.array(cols))
+                 for m, cols in groups.values())
+
+
+def from_unit(blocks, u):
+    """(n, d) points: column k is the inverse CDF of row k of the (d, n)
+    uniforms u, clipped to [1e-16, 1 - 1e-16] so that no quantile is
+    infinite; one inverse_cdf call per block, on its rows of u.  Every
+    inverse-CDF draw of a set of points goes through here."""
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    return np.column_stack([m.inverse_cdf(r) for m, r in zip(marginals, u)])
+    out = np.empty(u.shape[::-1])
+    for m, cols in blocks:
+        out.T[cols] = m.inverse_cdf(u[cols])
+    return out
 
 
-def log_density(marginals, theta):
+def log_terms(blocks, theta):
+    """Each coordinate's log density at one vector, or at each row of an
+    (n, d) array, in theta's shape: one log_pdf call per block."""
+    theta = np.asarray(theta, dtype=float)
+    first, cols = blocks[0]
+    if isinstance(cols, slice):
+        return first.log_pdf(theta)
+    out = np.empty(theta.shape)
+    for m, cols in blocks:
+        out.T[cols] = m.log_pdf(theta.T[cols])
+    return out
+
+
+def log_density(blocks, theta):
     """Log density of a product of marginals at one vector, or at each row
-    of an (n, d) array: one log_pdf per column, summed in column order."""
+    of an (n, d) array: log_terms summed in column order, as a loop, since
+    a pairwise sum would round differently."""
     total = 0.0
-    for m, x in zip(marginals, np.asarray(theta, dtype=float).T):
-        total += m.log_pdf(x)
+    for term in log_terms(blocks, theta).T:
+        total += term
     return total
 
 
@@ -264,6 +310,7 @@ def normal_prior(mean, std):
         support=(-math.inf, math.inf),
         mean=mean,
         std=std,
+        family=("normal", mean, std),
     )
 
 
@@ -284,6 +331,7 @@ def uniform_prior(lo, hi):
         support=(lo, hi),
         mean=0.5 * (lo + hi),
         std=(hi - lo) / math.sqrt(12.0),
+        family=("uniform", lo, hi),
     )
 
 
@@ -301,6 +349,7 @@ def truncated_normal_prior(mean, std, lo, hi):
         support=(lo, hi),
         mean=d_mean,
         std=d_std,
+        family=("truncated_normal", mean, std, lo, hi),
     )
 
 
@@ -379,17 +428,21 @@ class BayesianProblem:
     priors: list
     log_likelihood: Callable[[np.ndarray], float]
     log_likelihood_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    # the priors' blocks, built once here: replacing a prior later needs a
+    # new problem
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.priors) != self.dimension:
             raise ValueError("prior count does not match dimension")
+        self.blocks = marginal_blocks(self.priors)
 
     def log_prior(self, theta):
         """Log prior density of one vector, or of each row of an (n, d) array."""
-        return log_density(self.priors, theta)
+        return log_density(self.blocks, theta)
 
     def sample_prior(self, rng, n=1):
-        return from_unit(self.priors, rng.random((self.dimension, n)))
+        return from_unit(self.blocks, rng.random((self.dimension, n)))
 
     @property
     def support(self):

@@ -41,17 +41,18 @@ class GaussianISD:
         self.stddev = np.asarray(self.stddev, dtype=float)
         for m, s in zip(self.mean, self.stddev):
             core._check_normal(m, s)
-        self._dists = [
+        # one block per dimension: each has its own mean and stddev
+        self._blocks = core.marginal_blocks([
             core._TruncatedNormal(m, s, lo, hi)
             for m, s, (lo, hi) in zip(self.mean, self.stddev, self.support)
-        ]
+        ])
 
     def sample(self, rng, n):
-        return core.from_unit(self._dists, rng.random((len(self.mean), n)))
+        return core.from_unit(self._blocks, rng.random((len(self.mean), n)))
 
     def log_pdf(self, theta):
         """Log density of one vector, or of each row of an (n, d) array."""
-        return core.log_density(self._dists, theta)
+        return core.log_density(self._blocks, theta)
 
 
 @dataclass

@@ -11,14 +11,18 @@ on the prior ratio first, for all rows at once against each row's cached log
 prior, and only then evaluates the likelihood gate on the rows that moved,
 so prior-rejected proposals cost no likelihood evaluations.  Up to
 COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
-coordinate accepts on its own prior ratio.  replenish is the only code that
-moves a chain, and constrained_mh_step the only step: nested sampling's
-refills of its dead slots are batches too.  A level with no survivor ends
-the run with StopRun(degenerate_level).
+coordinate accepts on its own prior ratio, cached per coordinate from
+core.log_terms, which makes one log_pdf call per block of identical prior
+marginals.  replenish is the only code that moves a chain, and
+constrained_mh_step the only step: nested sampling's refills of its dead
+slots are batches too.  A level with no survivor ends the run with
+StopRun(degenerate_level).  A prior std that is not finite and positive is
+rejected before any chain moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,7 @@ import numpy as np
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
                    TerminationReason, evidence_update, finalize_estimate,
-                   keyed_generators, shell_statistics)
+                   keyed_generators, log_terms, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -45,8 +49,17 @@ class KernelConfig:
                                    "steps_per_sample must be >= 1")
 
     def resolve(self, problem):
-        """Proposal stddev, a quarter of each prior stddev."""
-        return 0.25 * np.array([p.std for p in problem.priors])
+        """Proposal stddev, a quarter of each prior stddev.
+
+        A prior std that is not finite and positive raises ValueError
+        naming the coordinate: 0, NaN or inf would freeze every chain.
+        """
+        std = np.array([p.std for p in problem.priors], dtype=float)
+        bad = np.flatnonzero(~((std > 0) & (std < math.inf)))
+        if len(bad):
+            raise ValueError("prior %d has std %r; the proposal scale needs "
+                             "a finite std > 0" % (bad[0], float(std[bad[0]])))
+        return 0.25 * std
 
 
 @dataclass
@@ -62,12 +75,6 @@ class MCMCConfig:
         if not 1 <= self.n_replace < self.n_samples:
             raise ConfigFieldError("n_replace",
                                    "need 1 <= n_replace < n_samples")
-
-
-def _log_prior_terms(problem, x):
-    """Each coordinate's log prior density for every row of x, (n, d)."""
-    return np.column_stack([p.log_pdf(col)
-                            for p, col in zip(problem.priors, x.T)])
 
 
 def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
@@ -86,7 +93,7 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
     """
     eta = state + delta
     log_p_eta = (problem.log_prior(eta) if log_p.ndim == 1
-                 else _log_prior_terms(problem, eta))
+                 else log_terms(problem.blocks, eta))
     accept = log_u < log_p_eta - log_p
     candidate = np.where(accept.reshape(len(state), -1), eta, state)
     moved = np.flatnonzero((candidate != state).any(axis=1))
@@ -134,7 +141,7 @@ def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
     log_u = np.log(u, out=u)
 
     state, log_L = passing[starts], passing_log_L[starts]
-    log_p = (_log_prior_terms(problem, state) if component_wise
+    log_p = (log_terms(problem.blocks, state) if component_wise
              else problem.log_prior(state))
     for s in range(steps_per_sample):
         state, log_L, log_p = constrained_mh_step(

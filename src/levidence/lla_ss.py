@@ -94,7 +94,7 @@ def sample_stratum(problem, per_dim_counts, owner, u):
     cell = np.array(np.unravel_index(owner, per_dim_counts))
     lo, hi = cell / counts, (cell + 1) / counts
     # u on the half-open cell (lo, hi]
-    return from_unit(problem.priors, lo + (hi - lo) * (1.0 - u))
+    return from_unit(problem.blocks, lo + (hi - lo) * (1.0 - u))
 
 
 def _active_counts(grid, log_lambda):

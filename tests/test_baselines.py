@@ -9,8 +9,9 @@ from levidence import lla_mcmc
 from levidence.baselines import (NESTED_REFILL_FRACTION, NESTED_WALK_STEPS,
                                  NestedConfig, _NestedLevels, run_mc,
                                  run_nested)
-from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
-                            log_sum_exp, normal_prior, uniform_prior)
+from levidence.core import (NEG_INF, BayesianProblem, MarginalPrior,
+                            TerminationReason, log_sum_exp, normal_prior,
+                            uniform_prior)
 from levidence.lla_mcmc import KernelConfig
 from levidence.schedule import StoppingPolicy, run_levels
 
@@ -101,6 +102,19 @@ class TestRunNested:
                                                    max_evals=10**6))
         est = run_nested(_gaussian_problem(), cfg, seed=1)
         assert est.log_evidence == pytest.approx(expect, abs=0.05)
+
+    def test_rejects_a_frozen_proposal(self):
+        # a prior std of 0 or NaN gives a proposal scale under which no
+        # refill chain ever moves
+        g = normal_prior(0.0, 1.0)
+        for std in (0.0, math.nan):
+            problem = BayesianProblem(
+                dimension=1,
+                priors=[MarginalPrior(g.log_pdf, g.inverse_cdf, g.support,
+                                      std=std)],
+                log_likelihood=lambda t: -0.5 * t[0] ** 2)
+            with pytest.raises(ValueError, match="prior 0 has std"):
+                run_nested(problem, NestedConfig(), seed=7)
 
     def test_volume_model_is_deterministic_shrinkage(self):
         # all but the final live-set row: death i, with j = (i - 1) mod k

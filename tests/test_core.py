@@ -17,10 +17,11 @@ from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
                        grid_log_evidence, run_lla_is, run_lla_mcmc,
                        run_lla_ss, run_mc, run_nested)
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            DegenerateWeightsError, LevelTrace,
+                            DegenerateWeightsError, LevelTrace, MarginalPrior,
                             _TruncatedNormal, effective_sample_size,
-                            evidence_update, finalize_estimate,
-                            keyed_generators, log_sum_exp, normal_prior,
+                            evidence_update, finalize_estimate, from_unit,
+                            keyed_generators, log_density, log_sum_exp,
+                            log_terms, marginal_blocks, normal_prior,
                             posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
 from levidence.lla_is import fit_isd
@@ -193,6 +194,89 @@ class TestPriors:
             p = truncated_normal_prior(0.5, 2.0, lo, hi)
             assert p.support == (lo, hi)
             assert np.isfinite(p.mean) and p.std > 0
+
+
+class TestMarginalBlocks:
+    """One call per family of identical marginals, with the per-column
+    results bit for bit."""
+
+    @staticmethod
+    def _marginals(seen):
+        # seen collects the shape of every value the custom marginal, which
+        # has no family key, is called with
+        g = normal_prior(0.5, 3.0)
+
+        def log_pdf(x):
+            seen.append(np.shape(x))
+            return g.log_pdf(x)
+
+        return [normal_prior(0.0, 1.0), uniform_prior(0.0, 2.0),
+                normal_prior(0.0, 1.0),
+                truncated_normal_prior(1.25, 0.5, 1.0, 1.5),
+                normal_prior(0.0, 2.0),
+                MarginalPrior(log_pdf, g.inverse_cdf, g.support)]
+
+    def test_family_keys(self):
+        ms = self._marginals([])
+        assert ms[0].family == ms[2].family == ("normal", 0.0, 1.0)
+        assert ms[1].family == ("uniform", 0.0, 2.0)
+        assert ms[3].family == ("truncated_normal", 1.25, 0.5, 1.0, 1.5)
+        assert ms[5].family is None
+        (m0, cols0), *rest = marginal_blocks(ms)
+        assert m0 is ms[0] and np.array_equal(cols0, [0, 2])
+        assert rest == [(ms[k], k) for k in (1, 3, 4, 5)]
+        ns = [normal_prior(0.0, 1.0) for _ in range(4)]
+        assert marginal_blocks(ns) == ((ns[0], slice(None)),)
+        u = uniform_prior(0.0, 1.0)
+        assert marginal_blocks([u]) == ((u, 0),)
+
+    def test_equal_to_one_call_per_column(self):
+        seen = []
+        ms = self._marginals(seen)
+        blocks = marginal_blocks(ms)
+        rng = np.random.default_rng(11)
+        # points inside and outside the bounded supports
+        X = rng.uniform(-1.0, 2.5, size=(40, len(ms)))
+        terms = np.column_stack([m.log_pdf(x) for m, x in zip(ms, X.T)])
+        total = 0.0
+        for m, x in zip(ms, X.T):
+            total += m.log_pdf(x)
+        assert np.isinf(terms).any() and np.isfinite(total).any()
+        del seen[:]
+        assert np.array_equal(log_terms(blocks, X), terms)
+        assert np.array_equal(log_density(blocks, X), total)
+        assert seen == [(40,), (40,)]
+        for x in X[:5]:
+            assert np.array_equal(log_terms(blocks, x),
+                                  [m.log_pdf(v) for m, v in zip(ms, x)])
+            expect = 0.0
+            for m, v in zip(ms, x):
+                expect += m.log_pdf(v)
+            assert log_density(blocks, x) == expect
+        assert seen[-1] == ()
+
+        u = np.concatenate([[[0.0, 1.0]] * len(ms),
+                            rng.random((len(ms), 30))], axis=1)
+        clipped = np.clip(u, 1e-16, 1.0 - 1e-16)
+        expect = np.column_stack([m.inverse_cdf(r)
+                                  for m, r in zip(ms, clipped)])
+        assert np.array_equal(from_unit(blocks, u), expect)
+        assert from_unit(blocks, u).flags.c_contiguous
+
+    def test_one_block_covering_every_column(self):
+        # 12 columns: a pairwise sum over the rows would round differently
+        ms = [truncated_normal_prior(0.0, 1.0, -1.0, 2.0) for _ in range(12)]
+        blocks = marginal_blocks(ms)
+        X = np.random.default_rng(12).normal(0.5, 0.5, size=(30, 12))
+        terms = np.column_stack([m.log_pdf(x) for m, x in zip(ms, X.T)])
+        assert np.array_equal(log_terms(blocks, X), terms)
+        total = 0.0
+        for column in terms.T:
+            total += column
+        assert np.array_equal(log_density(blocks, X), total)
+        u = np.random.default_rng(13).random((12, 30))
+        assert np.array_equal(from_unit(blocks, u), np.column_stack(
+            [m.inverse_cdf(r) for m, r in zip(ms, u)]))
 
 
 # standard bounds (a, b) that take every branch of the closed form: b <= 0,

@@ -1,16 +1,19 @@
 """Tests for the constrained-MCMC evidence estimator."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            TerminationReason, keyed_generators, normal_prior,
-                            uniform_prior)
+                            MarginalPrior, TerminationReason,
+                            keyed_generators, log_terms, normal_prior,
+                            truncated_normal_prior, uniform_prior)
 from levidence.lla_mcmc import (COMPONENT_WISE_DIMENSION, KernelConfig,
-                                MCMCConfig, _log_prior_terms, chi_mcmc,
-                                constrained_mh_step, replenish, run_lla_mcmc)
+                                MCMCConfig, chi_mcmc, constrained_mh_step,
+                                replenish, run_lla_mcmc)
+from levidence.models import make_benchmark
 from levidence.schedule import StoppingPolicy, StopRun
 
 
@@ -60,6 +63,36 @@ class TestKernelConfig:
         for steps in (0, math.nan):
             with pytest.raises(ValueError, match="steps_per_sample"):
                 KernelConfig(steps_per_sample=steps)
+
+    @pytest.mark.parametrize("std", [0.0, math.nan, -1.0, math.inf])
+    def test_prior_std_not_finite_and_positive_raises(self, std):
+        # 0, NaN or inf would freeze every chain: a step proposes its own
+        # state, NaN or inf, and a negative std is no scale either
+        g = normal_prior(0.0, 1.0)
+        problem = BayesianProblem(
+            dimension=3, priors=[uniform_prior(0.0, 1.0), g, MarginalPrior(
+                g.log_pdf, g.inverse_cdf, g.support, std=std)],
+            log_likelihood=lambda t: 0.0)
+        with pytest.raises(ValueError, match="prior 2 has std"):
+            KernelConfig().resolve(problem)
+
+    def test_run_rejects_a_frozen_proposal(self):
+        g = normal_prior(0.0, 1.0)
+        for std in (0.0, math.nan):
+            problem = BayesianProblem(
+                dimension=1,
+                priors=[MarginalPrior(g.log_pdf, g.inverse_cdf, g.support,
+                                      std=std)],
+                log_likelihood=_gaussian_problem().log_likelihood)
+            with pytest.raises(ValueError, match="prior 0 has std"):
+                run_lla_mcmc(problem, MCMCConfig(), seed=7)
+        # a support narrower than the closed form's moments resolve
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            narrow = truncated_normal_prior(0.0, 1.0, 0.0, 1e-6)
+        problem = BayesianProblem(dimension=1, priors=[narrow],
+                                  log_likelihood=lambda t: 0.0)
+        with pytest.raises(ValueError, match="prior 0 has std nan"):
+            run_lla_mcmc(problem, MCMCConfig(), seed=7)
 
 
 def _mixed_problem(d, seen=None):
@@ -155,7 +188,7 @@ class TestConstrainedMHStep:
         passing, passing_log_L, lam = _survivors(problem, 200, 3)
         rng = np.random.default_rng(4)
         state, log_L = passing[:30], passing_log_L[:30]
-        log_p = (_log_prior_terms(problem, state) if component_wise
+        log_p = (log_terms(problem.blocks, state) if component_wise
                  else problem.log_prior(state))
         start = state
         for _ in range(20):
@@ -163,11 +196,45 @@ class TestConstrainedMHStep:
                 state, log_L, log_p, lam, 0.4, problem,
                 problem.log_likelihood, rng)
         assert np.any(state != start)
-        expect = (_log_prior_terms(problem, state) if component_wise
+        expect = (log_terms(problem.blocks, state) if component_wise
                   else problem.log_prior(state))
         np.testing.assert_array_equal(log_p, expect)
         np.testing.assert_array_equal(
             log_L, [problem.log_likelihood(t) for t in state])
+
+
+def test_one_prior_call_per_family_on_highdim():
+    # the 100 coordinates of highdim_gaussian_100 share one N(0, 1) prior:
+    # a draw makes one inverse_cdf call and a component-wise step one
+    # log_pdf call, through the first prior's attributes, where the traced
+    # benchmark wraps them
+    problem, _ = make_benchmark("highdim_gaussian_100", 7)
+    assert problem.dimension > COMPONENT_WISE_DIMENSION
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    for prior in problem.priors:
+        prior.log_pdf = counted("log_pdf", prior.log_pdf)
+        prior.inverse_cdf = counted("inverse_cdf", prior.inverse_cdf)
+    state = problem.sample_prior(np.random.default_rng(1), 20)
+    assert calls == {"inverse_cdf": 1}
+    log_p = log_terms(problem.blocks, state)
+    log_L = problem.log_likelihood_rows(state)
+    calls.clear()
+    rng = np.random.default_rng(2)
+    _, _, log_p = constrained_mh_step(
+        state, log_L, log_p, log_L.min() - 1.0,
+        0.25 * rng.standard_normal(state.shape),
+        np.log(rng.random(state.shape)),
+        CountingLikelihood(problem.log_likelihood,
+                           problem.log_likelihood_rows), problem)
+    assert calls == {"log_pdf": 1}
+    assert log_p.shape == state.shape
 
 
 class TestReplenish:

@@ -1,7 +1,7 @@
 """SHA-256 fingerprints of estimator runs, to show that a change kept every
 output bit for bit.
 
-    python3 tools/fingerprint.py            # 85 runs, about 15 s
+    python3 tools/fingerprint.py            # 86 runs, about 10 s
     python3 tools/fingerprint.py --quick    # a few runs, under 1 s
 
 Each run prints one line: benchmark, estimator, config, seed and a SHA-256
@@ -49,6 +49,13 @@ def _capped_criterion_3_mcmc():
                                 max_iterations=2000, max_evals=5000))
 
 
+def _capped_nested():
+    return NestedConfig(
+        n_live=500, stopping=StoppingPolicy(chi_tol=1e-30,
+                                            max_iterations=100000,
+                                            max_evals=10000))
+
+
 # (estimator, config name, run(problem, seed))
 RUNS = (
     ("lla_is", "default", lambda p, s: run_lla_is(p, ISConfig(), s)),
@@ -58,8 +65,12 @@ RUNS = (
     ("mc", "n20000", lambda p, s: run_mc(p, 20000, s)),
     ("lla_ss", "default", lambda p, s: run_lla_ss(p, SSConfig(), s)),
 )
-HIGHDIM = ("highdim_gaussian_100", "lla_mcmc", "criterion3_capped",
-           lambda p, s: run_lla_mcmc(p, _capped_criterion_3_mcmc(), s))
+# on highdim_gaussian_100 at the first seed: component-wise chain moves
+HIGHDIM = (
+    ("lla_mcmc", "criterion3_capped",
+     lambda p, s: run_lla_mcmc(p, _capped_criterion_3_mcmc(), s)),
+    ("nested", "capped", lambda p, s: run_nested(p, _capped_nested(), s)),
+)
 
 
 def plan(quick):
@@ -69,7 +80,9 @@ def plan(quick):
                 for est, name, run in RUNS]
     return [(bench, est, name, run, seed)
             for bench in BENCHMARKS for seed in SEEDS
-            for est, name, run in RUNS] + [(*HIGHDIM, SEEDS[0])]
+            for est, name, run in RUNS] + [
+        ("highdim_gaussian_100", est, name, run, SEEDS[0])
+        for est, name, run in HIGHDIM]
 
 
 def digest(est):
