@@ -66,15 +66,14 @@ def run_mc(problem, n, seed):
 
 
 class _NestedLevels(LevelStrategy):
-    """One death per iteration; the dead slots are refilled in batches.
+    """Every living point at or below the level dies, ties included, and
+    chi shrinks by the living points' pass fraction (lla_mcmc.chi_mcmc).
 
     A dead point stays in its slot until NESTED_REFILL_FRACTION * n_live
     (rounded up) have died, or until no live point lies strictly above the
     level.  Then one replenish call runs a chain per dead slot from the
     survivors above the level and writes them into the slots in the order of
-    death; death i draws from SeedSequence([seed, i])'s stream.  A death
-    with j slots already empty is the lowest of n_live - j uniform points,
-    so it shrinks log chi by 1 / (n_live - j).
+    death; the run's j-th death draws from SeedSequence([seed, j])'s stream.
     """
 
     def __init__(self, problem, config, seed):
@@ -84,14 +83,12 @@ class _NestedLevels(LevelStrategy):
         self.live = problem.sample_prior(rng0, config.n_live)
         self.live_log_L = self.logL_fn.rows(self.live)
         self.empty = []                 # dead slots, in the order of death
-        batch = math.ceil(NESTED_REFILL_FRACTION * config.n_live)
-        self.deaths = [0] * batch       # [j]: deaths with j slots empty
+        self.n_deaths = 0
+        self.batch = math.ceil(NESTED_REFILL_FRACTION * config.n_live)
 
     def level(self, iteration, trace):
-        log_L = self.live_log_L.copy()
-        log_L[self.empty] = math.inf
-        self.worst = int(np.argmin(log_L))
-        log_lambda = float(self.live_log_L[self.worst])
+        # living points lie above the last level: only a first -inf stops
+        log_lambda = float(np.delete(self.live_log_L, self.empty).min())
         if log_lambda <= trace.log_lambda_current:
             raise StopRun(TerminationReason.degenerate_level)
         return log_lambda
@@ -99,28 +96,28 @@ class _NestedLevels(LevelStrategy):
     def mass(self, iteration, log_lambda, trace):
         # a refill is drawn before the level is recorded, so its evaluations
         # count towards this level; with no live point strictly above (a
-        # constant plateau) the run stops before shrinking.  An empty slot
-        # keeps its dead point, which lies at or below every later level.
+        # plateau) the run stops before shrinking.  A dead slot keeps its
+        # point, at or below the last level, so the points above are alive.
         above = self.live_log_L > log_lambda
-        slots = self.empty + [self.worst]
-        refill = len(slots) == len(self.deaths) or not above.any()
-        if refill:
-            new, new_log_L = lla_mcmc.replenish(
+        dying = np.flatnonzero(~above & (self.live_log_L
+                                         > trace.log_lambda_current))
+        slots = self.empty + dying.tolist()
+        self.n_deaths += len(dying)
+        n_alive = len(above) - len(self.empty)
+        chi = lla_mcmc.chi_mcmc(trace.chi_current, n_alive - len(dying),
+                                n_alive)
+        dead = self.live[dying]
+        if len(slots) >= self.batch or not above.any():
+            self.live[slots], self.live_log_L[slots] = lla_mcmc.replenish(
                 self.live[above], self.live_log_L[above], log_lambda,
                 self.stddev, self.config.kernel.steps_per_sample,
                 self.problem, self.logL_fn,
                 list(keyed_generators((self.seed,), range(
-                    iteration - len(slots) + 1, iteration + 1))))
-        n_live = self.config.n_live
-        self.deaths[len(self.empty)] += 1
-        x = math.exp(-sum(c / (n_live - j) for j, c in enumerate(self.deaths)))
-        dead = self.live[[self.worst]]
-        if refill:
-            self.live[slots] = new
-            self.live_log_L[slots] = new_log_L
-        self.empty = [] if refill else slots
+                    self.n_deaths - len(slots) + 1, self.n_deaths + 1))))
+            slots = []
+        self.empty = slots
         # the live set bounds what the remaining mass can still contribute
-        return x, dead, None, self.live_log_L.max() + math.log(x)
+        return chi, dead, None, self.live_log_L.max() + math.log(chi)
 
     def tail(self, trace):
         # the final live set, without the empty slots: each point carries
@@ -135,10 +132,11 @@ class _NestedLevels(LevelStrategy):
 
 
 def run_nested(problem, config, seed):
-    """Nested sampling with one death per level and batched refills.
+    """Nested sampling in which tied points die together (Fowlie, Handley &
+    Su 2021, Nested sampling with plateaus), with batched refills.
 
-    Chi follows the deterministic per-slot shrinkage above, which is
-    exp(-i / n_live) when each dead slot is refilled at once (n_live <= 40).
-    The final live set is added as the strategy's tail.
+    Chi is (1 - 1/n_live)^i after i single deaths when each dead slot is
+    refilled at once (n_live <= 40).  The final live set is added as the
+    strategy's tail.
     """
     return run_levels(_NestedLevels(problem, config, seed))

@@ -151,7 +151,9 @@ class _ISLevels(LevelStrategy):
                 np.exp(self.log_w - self.log_w.max()))) <= gamma_s:
             if self.logL_fn.count >= self.config.stopping.max_evals:
                 raise StopRun(TerminationReason.max_evals)
-            new, new_w, new_L = self._draw(int(math.ceil(gamma_s - ess)))
+            # at least one point: at gamma_s = n_initial equal weights
+            # give ess == gamma_s, and a draw of none would never end
+            new, new_w, new_L = self._draw(max(math.ceil(gamma_s - ess), 1))
             self.samples = np.vstack([self.samples, new])
             self.log_w = np.concatenate([self.log_w, new_w])
             self.log_L = np.concatenate([self.log_L, new_L])
@@ -159,8 +161,10 @@ class _ISLevels(LevelStrategy):
         log_L = self.log_L
         in_shell = (log_L > trace.log_lambda_current) & (log_L <= log_lambda) \
             if len(trace) else (log_L <= log_lambda)
+        # the shell's prior/importance weights, scaled to a maximum of 1
+        log_w = self.log_w[in_shell]
         return (chi_is(log_L, self.log_w, log_lambda), self.samples[in_shell],
-                None, NEG_INF)
+                np.exp(log_w - log_w.max(initial=NEG_INF)), NEG_INF)
 
     def advance(self, iteration, log_lambda, trace):
         isd = fit_isd(self.samples[self.log_L > log_lambda],

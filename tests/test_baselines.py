@@ -9,9 +9,9 @@ from levidence import lla_mcmc
 from levidence.baselines import (NESTED_REFILL_FRACTION, NESTED_WALK_STEPS,
                                  NestedConfig, _NestedLevels, run_mc,
                                  run_nested)
-from levidence.core import (NEG_INF, BayesianProblem, MarginalPrior,
-                            TerminationReason, log_sum_exp, normal_prior,
-                            uniform_prior)
+from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
+                            MarginalPrior, TerminationReason, log_sum_exp,
+                            normal_prior, uniform_prior)
 from levidence.lla_mcmc import KernelConfig
 from levidence.schedule import StoppingPolicy, run_levels
 
@@ -82,12 +82,11 @@ class TestRunMC:
 
 class TestRunNested:
     def test_uniform_linear_accuracy(self):
-        # seeds 0-39 all end on degenerate_level, near chi = 0.01: the
-        # region above the level grows narrower than the fixed proposal
-        # scale, a refill chain that never moves duplicates a survivor, and
-        # the copy's death cannot lie strictly above the original's.  The
-        # final live set's tail credits the mass left; longer walks postpone
-        # the stop
+        # seeds 0-39 all end on chi_floor (chi_tol 0.005).  The region
+        # above the level grows narrower than the fixed proposal scale, so
+        # a refill chain that never moves duplicates a survivor; the copy
+        # dies with the original at the level they tie at.  The final live
+        # set's tail credits the mass left
         cfg = NestedConfig(n_live=300,
                            kernel=KernelConfig(steps_per_sample=40),
                            stopping=StoppingPolicy(max_iterations=20000,
@@ -118,9 +117,10 @@ class TestRunNested:
 
     def test_volume_model_is_deterministic_shrinkage(self):
         # all but the final live-set row: death i, with j = (i - 1) mod k
-        # slots already empty, shrinks log chi by 1 / (n_live - j), where
-        # k = ceil(0.025 n_live) dead slots are refilled at once; at
-        # n_live <= 40, k = 1 and chi is exactly exp(-i / n_live)
+        # slots already empty, leaves n_alive - 1 of n_alive = n_live - j
+        # living points above the level, where k = ceil(0.025 n_live) dead
+        # slots are refilled at once; at n_live <= 40, k = 1 and chi is
+        # (1 - 1/n_live)^i
         for n_live, k in ((40, 1), (100, 3)):
             assert math.ceil(NESTED_REFILL_FRACTION * n_live) == k
             cfg = NestedConfig(n_live=n_live,
@@ -129,12 +129,51 @@ class TestRunNested:
             est = run_nested(_uniform_problem(), cfg, seed=2)
             chi = est.trace.chi[:-1]
             assert len(chi) == 50
-            log_x = 0.0
             for i, x in enumerate(chi, start=1):
-                log_x -= 1.0 / (n_live - (i - 1) % k)
-                assert x == pytest.approx(math.exp(log_x), rel=1e-12)
+                n_alive = n_live - (i - 1) % k
+                x_prev = chi[i - 2] if i > 1 else 1.0
+                assert x == x_prev * (n_alive - 1) / n_alive
                 if k == 1:
-                    assert x == math.exp(-i / n_live)
+                    assert x == pytest.approx((1 - 1 / n_live) ** i,
+                                              rel=1e-12)
+
+    def test_tied_points_die_together(self, monkeypatch):
+        # log L = floor(4 theta) has four plateaus: every living point on
+        # the lowest dies at the first level, chi drops by their fraction,
+        # and one refill draws their chains with keys 1..m in slot order
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: float(math.floor(4.0 * t[0])))
+        refills = []
+
+        def recording(passing, passing_log_L, log_lambda, *args):
+            refills.append([rng.bit_generator.state["state"]
+                            for rng in args[-1]])
+            return replenish(passing, passing_log_L, log_lambda, *args)
+
+        replenish = lla_mcmc.replenish
+        monkeypatch.setattr(lla_mcmc, "replenish", recording)
+        levels = _NestedLevels(problem, NestedConfig(n_live=40), 3)
+        tied = np.flatnonzero(levels.live_log_L == 0.0)
+        m = len(tied)
+        assert 1 < m < 40
+        trace = LevelTrace()
+        dying = levels.live[tied].tolist()
+        assert levels.level(1, trace) == 0.0
+        chi, dead, _, _ = levels.mass(1, 0.0, trace)
+        assert chi == (40 - m) / 40
+        assert dead.tolist() == dying
+        assert refills == [
+            [np.random.default_rng(np.random.SeedSequence([3, j]))
+             .bit_generator.state["state"] for j in range(1, m + 1)]]
+        assert levels.empty == [] and levels.n_deaths == m
+        assert np.all(levels.live_log_L > 0.0)
+        # on the top plateau every living point ties, so no chain can
+        # start; the run stops there and its tail row credits the plateau
+        est = run_nested(problem, NestedConfig(n_live=40, stopping=(
+            StoppingPolicy(max_iterations=1000, max_evals=10**6))), 3)
+        assert est.termination_reason == TerminationReason.degenerate_level
+        assert est.trace.log_lambda == [0.0, 1.0, 2.0, 3.0]
 
     def test_dead_slots_refill_in_batches(self, monkeypatch):
         # n_live = 100 refills k = 3 dead slots per replenish call, looked

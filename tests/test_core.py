@@ -342,6 +342,28 @@ class TestTruncatedNormalClosedForm:
                               sum(r.logpdf(x) for r, x in zip(refs, thetas.T)))
 
 
+@pytest.mark.parametrize("loc, scale, lo, hi", [
+    (0.0, 1.0, 0.0, 1e-6), (5.0, 1.0, 5.0, 5.000001),
+    (0.0, 1.0, 5.0, 5.000001)])
+def test_truncated_normal_moments_on_narrow_supports(loc, scale, lo, hi):
+    # the closed form gives std NaN on the first two and 1.2e-4 on the
+    # third; quad integrates over the offset u = x - lo, with the density
+    # relative to its value at lo
+    def density(u):
+        return math.exp(-u * (u + 2.0 * (lo - loc)) / (2.0 * scale * scale))
+
+    def quad(f):
+        return integrate.quad(f, 0.0, hi - lo, epsabs=0.0, epsrel=1e-10)[0]
+
+    mass = quad(density)
+    mean = quad(lambda u: u * density(u)) / mass
+    std = math.sqrt(quad(lambda u: (u - mean) ** 2 * density(u)) / mass)
+    d_mean, d_std = _TruncatedNormal(loc, scale, lo, hi).moments()
+    assert d_mean - lo == pytest.approx(mean, rel=1e-6)
+    assert d_std == pytest.approx(std, rel=1e-6)
+    assert std == pytest.approx((hi - lo) / math.sqrt(12.0), rel=1e-3)
+
+
 def _seed_sequence_state(*entropy):
     return np.random.PCG64(np.random.SeedSequence(list(entropy))).state
 

@@ -1,6 +1,7 @@
 """Tests for the importance-sampling evidence estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
                             normal_prior, uniform_prior)
 from levidence.lla_is import (GaussianISD, ISConfig, chi_is, fit_isd,
                               run_lla_is)
+from levidence.models import make_benchmark
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
 
@@ -144,6 +146,36 @@ class TestRunLLAIS:
         assert est.posterior_mean[0] == pytest.approx(2.0 / 3.0, abs=0.03)
         assert est.posterior_variance[0] == pytest.approx(1.0 / 18.0,
                                                           abs=0.02)
+
+    def test_posterior_mean_uses_importance_weights(self):
+        # criterion 1's config on conjugate_gaussian: the exact posterior
+        # is Gaussian, its log density a quadratic read off three points
+        cfg = ISConfig(
+            n_initial=1000, ess_threshold_fraction=0.001,
+            stddev_override=0.125,
+            level_policy=LevelPolicy(f_init=0.025, f_slope=0.025, f_max=0.3,
+                                     escalation_factor=1.5,
+                                     escalation_cap=0.999),
+            stopping=StoppingPolicy(max_iterations=250, max_evals=25000))
+        for dataset in (7, 8, 9):
+            problem, _ = make_benchmark("conjugate_gaussian", dataset)
+            t = np.array([[0.0], [1.0], [2.0]])
+            log_post = problem.log_prior(t) + problem.log_likelihood_rows(t)
+            var = -1.0 / (log_post[0] - 2.0 * log_post[1] + log_post[2])
+            mean = 1.0 + var * (log_post[2] - log_post[0]) / 2.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = run_lla_is(problem, cfg, seed=7)
+            assert abs(est.posterior_mean[0] - mean) <= 0.15 * math.sqrt(var)
+
+    def test_full_ess_threshold_returns(self):
+        # at ess_threshold_fraction = 1 the first level's equal weights
+        # give an ESS equal to the threshold, so its top-up must still draw
+        cfg = ISConfig(n_initial=100, ess_threshold_fraction=1.0,
+                       stopping=StoppingPolicy(max_evals=2000))
+        est = run_lla_is(_uniform_problem(), cfg, seed=0)
+        assert est.trace.n_evals[0] == 101
+        assert est.total_evals <= 2000 + 100
 
     def test_budget_cap_respected(self):
         stop = StoppingPolicy(max_evals=1500)

@@ -86,13 +86,12 @@ class TestKernelConfig:
                 log_likelihood=_gaussian_problem().log_likelihood)
             with pytest.raises(ValueError, match="prior 0 has std"):
                 run_lla_mcmc(problem, MCMCConfig(), seed=7)
-        # a support narrower than the closed form's moments resolve
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            narrow = truncated_normal_prior(0.0, 1.0, 0.0, 1e-6)
+        # a narrow support is not frozen: its scale is a quarter of its std
+        narrow = truncated_normal_prior(0.0, 1.0, 0.0, 1e-6)
         problem = BayesianProblem(dimension=1, priors=[narrow],
                                   log_likelihood=lambda t: 0.0)
-        with pytest.raises(ValueError, match="prior 0 has std nan"):
-            run_lla_mcmc(problem, MCMCConfig(), seed=7)
+        assert KernelConfig().resolve(problem)[0] == pytest.approx(
+            0.25e-6 / math.sqrt(12.0), rel=1e-9)
 
 
 def _mixed_problem(d, seen=None):

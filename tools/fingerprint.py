@@ -1,7 +1,7 @@
 """SHA-256 fingerprints of estimator runs, to show that a change kept every
 output bit for bit.
 
-    python3 tools/fingerprint.py            # 86 runs, about 10 s
+    python3 tools/fingerprint.py            # 98 runs, about 11 s
     python3 tools/fingerprint.py --quick    # a few runs, under 1 s
 
 Each run prints one line: benchmark, estimator, config, seed and a SHA-256
@@ -49,6 +49,33 @@ def _capped_criterion_3_mcmc():
                                 max_iterations=2000, max_evals=5000))
 
 
+def _suite_ss():
+    return SSConfig(
+        per_dim_counts=(5,), n_per_iteration=175,
+        level_policy=LevelPolicy(f_init=0.025, f_slope=0.025, f_max=0.9,
+                                 escalation_factor=1.02, escalation_cap=0.999),
+        stopping=StoppingPolicy(max_iterations=250, max_evals=20000))
+
+
+def _suite_mcmc():
+    return MCMCConfig(
+        n_samples=1000, n_replace=25, kernel=KernelConfig(steps_per_sample=2),
+        stopping=StoppingPolicy(max_iterations=250, max_evals=25000))
+
+
+def _suite_nested():
+    return NestedConfig(n_live=500,
+                        stopping=StoppingPolicy(max_iterations=20000,
+                                                max_evals=10**6))
+
+
+def _criterion_7_mcmc():
+    return MCMCConfig(
+        n_samples=1000, n_replace=100,
+        stopping=StoppingPolicy(delta_evidence_tol=1e-4, chi_tol=1e-20,
+                                max_iterations=2000, max_evals=200000))
+
+
 def _capped_nested():
     return NestedConfig(
         n_live=500, stopping=StoppingPolicy(chi_tol=1e-30,
@@ -65,6 +92,19 @@ RUNS = (
     ("mc", "n20000", lambda p, s: run_mc(p, 20000, s)),
     ("lla_ss", "default", lambda p, s: run_lla_ss(p, SSConfig(), s)),
 )
+# the configs perfbench/workloads.py times (conjugate_suite's IS config is
+# criterion1 above), at both seeds: (benchmark, estimator, config name, run)
+PERFBENCH = (
+    ("conjugate_gaussian", "lla_ss", "suite",
+     lambda p, s: run_lla_ss(p, _suite_ss(), s)),
+    ("conjugate_gaussian", "lla_mcmc", "suite",
+     lambda p, s: run_lla_mcmc(p, _suite_mcmc(), s)),
+    ("conjugate_gaussian", "nested", "suite",
+     lambda p, s: run_nested(p, _suite_nested(), s)),
+) + tuple(
+    ("polynomial_regression_d%d" % k, "lla_mcmc", "criterion7",
+     lambda p, s: run_lla_mcmc(p, _criterion_7_mcmc(), s))
+    for k in (1, 2, 3))
 # on highdim_gaussian_100 at the first seed: component-wise chain moves
 HIGHDIM = (
     ("lla_mcmc", "criterion3_capped",
@@ -81,6 +121,8 @@ def plan(quick):
     return [(bench, est, name, run, seed)
             for bench in BENCHMARKS for seed in SEEDS
             for est, name, run in RUNS] + [
+        (bench, est, name, run, seed)
+        for bench, est, name, run in PERFBENCH for seed in SEEDS] + [
         ("highdim_gaussian_100", est, name, run, SEEDS[0])
         for est, name, run in HIGHDIM]
 
