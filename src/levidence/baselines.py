@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,10 +13,10 @@ import numpy as np
 from . import lla_mcmc
 # evidence_update, should_stop and constrained_mh_step are called elsewhere;
 # perfbench/layers.py wraps them here, so they stay imported
-from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
-                   CountingLikelihood, LevelTrace, TerminationReason,
-                   evidence_update, finalize_estimate, keyed_generators,
-                   log_sum_exp, shell_statistics)
+from .core import (NEG_INF, CountingLikelihood, LevelTrace,  # noqa: F401
+                   TerminationReason, check_count, evidence_update,
+                   finalize_estimate, keyed_generators, log_sum_exp,
+                   shell_statistics)
 from .lla_mcmc import KernelConfig, constrained_mh_step  # noqa: F401
 from .schedule import (LevelStrategy, StoppingPolicy,  # noqa: F401
                        StopRun, run_levels, should_stop)
@@ -33,8 +33,7 @@ class NestedConfig:
         default_factory=lambda: KernelConfig(steps_per_sample=NESTED_WALK_STEPS))
 
     def __post_init__(self):
-        if not self.n_live >= 2:
-            raise ConfigFieldError("n_live", "n_live must be >= 2")
+        check_count("n_live", self.n_live, 2)
 
 
 def run_mc(problem, n, seed):
@@ -60,9 +59,8 @@ def run_mc(problem, n, seed):
 
     trace = LevelTrace()
     trace.add_level(log_E, 0.0, log_E, *shell, logL_fn.count)
-    est = finalize_estimate(trace, TerminationReason.max_evals, logL_fn.count,
-                            problem.dimension)
-    return replace(est, standard_error_log=se_log)
+    return finalize_estimate(trace, TerminationReason.max_evals,
+                             logL_fn.count, problem.dimension, se_log)
 
 
 class _NestedLevels(LevelStrategy):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +44,15 @@ class ConfigFieldError(ValueError):
 
     def __str__(self):
         return self.args[1]
+
+
+def check_count(field, value, minimum):
+    """Raise ConfigFieldError naming field unless value is an integer (a
+    NumPy one included, not a bool) of at least minimum."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not value >= minimum):
+        raise ConfigFieldError(field, "%s must be >= %d and an integer, not "
+                               "%r" % (field, minimum, value))
 
 
 def log_sum_exp(xs):
@@ -611,7 +621,8 @@ def posterior_moments(trace, log_evidence):
     return mean, var
 
 
-def finalize_estimate(trace, reason, total_evals, dimension):
+def finalize_estimate(trace, reason, total_evals, dimension,
+                      standard_error_log=None):
     """Build an EvidenceEstimate, falling back to NaN moments on empty shells."""
     log_E = trace.log_evidence
     mean, var = posterior_moments(trace, log_E)
@@ -624,6 +635,7 @@ def finalize_estimate(trace, reason, total_evals, dimension):
         posterior_variance=np.asarray(var, dtype=float),
         termination_reason=reason,
         total_evals=int(total_evals),
+        standard_error_log=standard_error_log,
     )
 
 

@@ -1,4 +1,5 @@
-"""Level-adapted importance sampling estimator.
+"""Level-adapted importance sampling estimator, and the weighted pool
+(_WeightedPoolLevels, chi = sum w 1[L > lambda]) it shares with lla_ss.
 
 Each iteration draws a batch from a diagonal Gaussian importance density
 (truncated to the prior support), picks a higher likelihood level from the
@@ -20,7 +21,7 @@ from . import core
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
                    TerminationReason, effective_sample_size, evidence_update,
-                   finalize_estimate, log_sum_exp, shell_statistics)
+                   finalize_estimate, shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -65,9 +66,7 @@ class ISConfig:
     stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
 
     def __post_init__(self):
-        if not self.n_initial >= 10:
-            raise ConfigFieldError("n_initial",
-                                   "n_initial must be at least 10")
+        core.check_count("n_initial", self.n_initial, 10)
         if not 0 <= self.ess_threshold_fraction <= 1:
             raise ConfigFieldError("ess_threshold_fraction",
                                    "ess_threshold_fraction must lie in [0, 1]")
@@ -105,66 +104,83 @@ def _support_width(lo, hi):
     return 1.0
 
 
-def chi_is(log_likelihoods, log_weights, log_lambda):
-    """Unnormalized importance-sampling estimate of the super-level mass."""
-    log_L = np.asarray(log_likelihoods, dtype=float)
-    log_w = np.asarray(log_weights, dtype=float)
-    mask = log_L > log_lambda
-    if not mask.any():
-        return 0.0
-    return math.exp(log_sum_exp(log_w[mask]) - math.log(len(log_L)))
+def chi_weighted(log_L, weights, log_lambda):
+    """The weighted exceedance: the weights of the rows above the level,
+    summed by math.fsum, exactly rounded in any order of the rows."""
+    return math.fsum(weights[log_L > log_lambda].tolist())
 
 
-class _ISLevels(LevelStrategy):
-    """Draws from the current importance density (the prior at first)."""
+class _WeightedPoolLevels(LevelStrategy):
+    """A pool of samples, each row with its log-likelihood and a tag.
+
+    A part supplies draw(iteration), which adds rows through extend,
+    weights(), one per row, and advance.  The level is an order statistic of
+    the pool; chi is its weighted exceedance, and the shell every row of
+    positive weight with lambda_prev < log L <= lambda, weighted as in chi.
+    """
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
-        self.isd = None
+        self.samples = np.empty((0, problem.dimension))
+        self.log_L = np.empty(0)
+        self.tags = np.empty(0, dtype=np.intp)  # float tags make it float
 
-    def _draw(self, n):
-        """n samples with their log prior/importance weights and log L."""
-        if self.isd is None:
-            samples = self.problem.sample_prior(self.rng, n)
-            log_w = np.zeros(n)
-        else:
-            samples = self.isd.sample(self.rng, n)
-            log_w = self.problem.log_prior(samples) - self.isd.log_pdf(samples)
-        return samples, log_w, self.logL_fn.rows(samples)
+    def extend(self, samples, tags):
+        """Evaluate samples' rows and pool them, row j tagged tags[j]."""
+        self.samples = np.concatenate([self.samples, samples])
+        self.log_L = np.concatenate([self.log_L, self.logL_fn.rows(samples)])
+        self.tags = np.concatenate([self.tags, tags])
 
     def level(self, iteration, trace):
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, iteration]))
-        self.samples, self.log_w, self.log_L = self._draw(
-            self.config.n_initial)
+        self.draw(iteration)
         log_lambda, _ = select_level(
             np.sort(self.log_L), self.config.level_policy, iteration,
             trace.log_lambda_current)
         return log_lambda
 
     def mass(self, iteration, log_lambda, trace):
-        # ESS guard: top up from the same density until the guard passes.
-        # If the eval budget runs out first, stop without estimating chi
-        # from the sub-threshold weights.
+        w, log_L = self.weights(), self.log_L
+        shell = (w > 0) & (trace.log_lambda_current < log_L) \
+            & (log_L <= log_lambda)
+        return (chi_weighted(log_L, w, log_lambda), self.samples[shell],
+                w[shell], NEG_INF)
+
+
+class _ISLevels(_WeightedPoolLevels):
+    """A fresh pool each level from the current importance density (the
+    prior at first); a row's tag is its log prior/importance weight."""
+
+    isd = None  # the prior until the first refit
+
+    def draw(self, iteration, top_up=0):
+        """The iteration's n_initial rows in a cleared pool, or top_up more
+        rows from the same density and generator."""
+        if not top_up:
+            self.rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, iteration]))
+            self.samples, self.log_L, self.tags = (
+                self.samples[:0], self.log_L[:0], self.tags[:0])
+        n = top_up or self.config.n_initial
+        if self.isd is None:
+            self.extend(self.problem.sample_prior(self.rng, n), np.zeros(n))
+        else:
+            samples = self.isd.sample(self.rng, n)
+            self.extend(samples, self.problem.log_prior(samples)
+                        - self.isd.log_pdf(samples))
+
+    def weights(self):
+        """exp(tag) / n, once the pool passes the ESS guard.  It is topped
+        up from the same density until it does; if the eval budget runs
+        out first, the run stops without a chi from sub-threshold weights."""
         gamma_s = self.config.ess_threshold_fraction * self.config.n_initial
         while (ess := effective_sample_size(
-                np.exp(self.log_w - self.log_w.max()))) <= gamma_s:
+                np.exp(self.tags - self.tags.max()))) <= gamma_s:
             if self.logL_fn.count >= self.config.stopping.max_evals:
                 raise StopRun(TerminationReason.max_evals)
             # at least one point: at gamma_s = n_initial equal weights
             # give ess == gamma_s, and a draw of none would never end
-            new, new_w, new_L = self._draw(max(math.ceil(gamma_s - ess), 1))
-            self.samples = np.vstack([self.samples, new])
-            self.log_w = np.concatenate([self.log_w, new_w])
-            self.log_L = np.concatenate([self.log_L, new_L])
-
-        log_L = self.log_L
-        in_shell = (log_L > trace.log_lambda_current) & (log_L <= log_lambda) \
-            if len(trace) else (log_L <= log_lambda)
-        # the shell's prior/importance weights, scaled to a maximum of 1
-        log_w = self.log_w[in_shell]
-        return (chi_is(log_L, self.log_w, log_lambda), self.samples[in_shell],
-                np.exp(log_w - log_w.max(initial=NEG_INF)), NEG_INF)
+            self.draw(None, max(math.ceil(gamma_s - ess), 1))
+        return np.exp(self.tags) / len(self.tags)
 
     def advance(self, iteration, log_lambda, trace):
         isd = fit_isd(self.samples[self.log_L > log_lambda],

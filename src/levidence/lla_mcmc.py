@@ -30,8 +30,9 @@ import numpy as np
 # run_levels calls evidence_update, finalize_estimate, shell_statistics and
 # should_stop; perfbench/layers.py wraps them here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError,  # noqa: F401
-                   TerminationReason, evidence_update, finalize_estimate,
-                   keyed_generators, log_terms, shell_statistics)
+                   TerminationReason, check_count, evidence_update,
+                   finalize_estimate, keyed_generators, log_terms,
+                   shell_statistics)
 from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
                        StoppingPolicy, StopRun, run_levels, select_level,
                        should_stop)
@@ -44,9 +45,7 @@ class KernelConfig:
     steps_per_sample: int = 5
 
     def __post_init__(self):
-        if not self.steps_per_sample >= 1:
-            raise ConfigFieldError("steps_per_sample",
-                                   "steps_per_sample must be >= 1")
+        check_count("steps_per_sample", self.steps_per_sample, 1)
 
     def resolve(self, problem):
         """Proposal stddev, a quarter of each prior stddev.
@@ -75,6 +74,8 @@ class MCMCConfig:
         if not 1 <= self.n_replace < self.n_samples:
             raise ConfigFieldError("n_replace",
                                    "need 1 <= n_replace < n_samples")
+        check_count("n_samples", self.n_samples, 2)
+        check_count("n_replace", self.n_replace, 1)
 
 
 def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,

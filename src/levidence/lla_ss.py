@@ -3,8 +3,10 @@
 The prior is cut into equal-mass strata through the inverse marginal CDFs.
 Each level draws every active stratum's uniforms from its own generator and
 maps the whole level into the strata's cells in one inverse-CDF pass.  The
-samples accumulate in one pool, each row tagged with its stratum; strata
-whose pooled samples all fall below the current level are retired.
+samples accumulate in lla_is's weighted pool, a row of stratum s weighing
+m / n_s, its stratum's mass over its pool size: importance sampling from the
+stratified proposal.  Strata whose pooled samples all fall below the current
+level are retired, and their rows weigh 0.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# run_levels calls evidence_update, finalize_estimate, shell_statistics and
-# should_stop; perfbench/layers.py wraps them here, so they stay imported
+# perfbench/layers.py wraps chi_ss (the pool's chi_weighted) and what the
+# level loop calls here, so they stay imported
 from .core import (NEG_INF, ConfigFieldError, TerminationReason,  # noqa: F401
-                   evidence_update, finalize_estimate, from_unit,
-                   keyed_generators, shell_statistics)
-from .schedule import (LevelPolicy, LevelStrategy,  # noqa: F401
-                       StoppingPolicy, StopRun, run_levels, select_level,
-                       should_stop)
+                   check_count, evidence_update, finalize_estimate,
+                   from_unit, keyed_generators, shell_statistics)
+from .lla_is import _WeightedPoolLevels, chi_weighted as chi_ss  # noqa: F401
+from .schedule import (LevelPolicy, StoppingPolicy,  # noqa: F401
+                       StopRun, run_levels, select_level, should_stop)
 
 MAX_STRATA = 10**6
 NEAR_MISS_LOG_MARGIN = 1.0
@@ -35,17 +37,11 @@ class StratificationError(ValueError):
 
 @dataclass
 class StrataGrid:
-    """Tensor grid of equal-mass prior strata with one cumulative sample pool.
-
-    Row j of samples and log_L was drawn in stratum strata[owner[j]].
-    """
+    """Tensor grid of equal-mass prior strata."""
 
     per_dim_counts: tuple
     strata: list                 # multi-indices, 1-based per dimension
     mass: float                  # identical for every stratum
-    samples: np.ndarray          # (n, d)
-    log_L: np.ndarray            # (n,)
-    owner: np.ndarray            # (n,) positions in strata
     active: np.ndarray           # bool per stratum
 
 
@@ -60,10 +56,10 @@ class SSConfig:
         if not all(c >= 1 for c in self.per_dim_counts):
             raise ConfigFieldError("per_dim_counts", "per-dimension stratum "
                                    "counts must be >= 1")
+        for c in self.per_dim_counts:
+            check_count("per_dim_counts", c, 1)
         self.per_dim_counts = tuple(int(c) for c in self.per_dim_counts)
-        if not self.n_per_iteration >= 1:
-            raise ConfigFieldError("n_per_iteration",
-                                   "n_per_iteration must be >= 1")
+        check_count("n_per_iteration", self.n_per_iteration, 1)
 
 
 def build_strata(problem, per_dim_counts):
@@ -81,8 +77,6 @@ def build_strata(problem, per_dim_counts):
                                "strata, more than %d" % (total, MAX_STRATA))
     strata = list(itertools.product(*(range(1, c + 1) for c in counts)))
     return StrataGrid(per_dim_counts=counts, strata=strata, mass=1.0 / total,
-                      samples=np.empty((0, len(counts))), log_L=np.empty(0),
-                      owner=np.empty(0, dtype=int),
                       active=np.ones(total, dtype=bool))
 
 
@@ -97,28 +91,15 @@ def sample_stratum(problem, per_dim_counts, owner, u):
     return from_unit(problem.blocks, lo + (hi - lo) * (1.0 - u))
 
 
-def _active_counts(grid, log_lambda):
-    """Pool sizes and exceedance counts of the active strata, in order."""
+def var_chi_ss(grid, owner, log_L, log_lambda, chi_hat):
+    """Plug-in variance of the stratified mass estimate (diagnostic); row j
+    of log_L was drawn in stratum owner[j]."""
     n_strata = len(grid.strata)
-    sizes = np.bincount(grid.owner, minlength=n_strata)[grid.active]
+    sizes = np.bincount(owner, minlength=n_strata)[grid.active]
     if np.any(sizes == 0):
         raise StratificationError("stratum never sampled")
-    exceed = np.bincount(grid.owner[grid.log_L > log_lambda],
+    exceed = np.bincount(owner[log_L > log_lambda],
                          minlength=n_strata)[grid.active]
-    return sizes, exceed
-
-
-def chi_ss(grid, log_lambda):
-    """Mass-weighted pooled exceedance fraction over the active strata."""
-    sizes, exceed = _active_counts(grid, log_lambda)
-    # summed left to right in stratum order, not pairwise as np.sum would,
-    # so the estimate does not depend on how the terms are grouped
-    return sum((grid.mass * exceed / sizes).tolist())
-
-
-def var_chi_ss(grid, log_lambda, chi_hat):
-    """Plug-in variance of the stratified mass estimate (diagnostic)."""
-    sizes, exceed = _active_counts(grid, log_lambda)
     n_cum = int(sizes.sum())
     if n_cum == 0:
         return 0.0
@@ -127,14 +108,15 @@ def var_chi_ss(grid, log_lambda, chi_hat):
     return max(pooled_binomial - between, 0.0) / n_cum
 
 
-class _SSLevels(LevelStrategy):
-    """Tops up every active stratum's share of the pool each iteration."""
+class _SSLevels(_WeightedPoolLevels):
+    """Tops up every active stratum's share of the pool each iteration; a
+    row's tag is its stratum's position in the grid."""
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed)
         self.grid = build_strata(problem, config.per_dim_counts)
 
-    def level(self, iteration, trace):
+    def draw(self, iteration):
         grid = self.grid
         active = np.flatnonzero(grid.active).tolist()
         # an even split of the budget, the remainder to the first strata;
@@ -147,40 +129,30 @@ class _SSLevels(LevelStrategy):
         u = np.hstack([rng.random((self.problem.dimension, n_s))
                        for n_s, rng in zip(sizes, rngs)])
         owner = np.repeat(active, sizes)
-        new = sample_stratum(self.problem, grid.per_dim_counts, owner, u)
-        grid.samples = np.vstack([grid.samples, new])
-        grid.log_L = np.concatenate([grid.log_L, self.logL_fn.rows(new)])
-        grid.owner = np.concatenate([grid.owner, owner])
+        # the pool keeps the rows of retired strata, at weight 0: the level
+        # is an order statistic of every value ever drawn, so it stays
+        # continuous when a stratum is retired
+        self.extend(sample_stratum(self.problem, grid.per_dim_counts, owner,
+                                   u), owner)
 
-        # the level looks at every likelihood value ever drawn (retired
-        # strata included) so the order statistic stays continuous when a
-        # stratum is retired; mass estimation still uses active strata only
-        log_lambda, _ = select_level(np.sort(grid.log_L),
-                                     self.config.level_policy, iteration,
-                                     trace.log_lambda_current)
-        return log_lambda
+    def weights(self):
+        """m / n_s for a row of active stratum s, 0 for a retired one."""
+        owner = self.tags
+        return np.where(self.grid.active[owner],
+                        self.grid.mass / np.bincount(owner)[owner], 0.0)
 
     def mass(self, iteration, log_lambda, trace):
-        grid = self.grid
+        chi, *shell = super().mass(iteration, log_lambda, trace)
         # the variance is taken at the clamped estimate the trace records
-        chi = min(chi_ss(grid, log_lambda), trace.chi_current)
-        trace.var_chi.append(var_chi_ss(grid, log_lambda, chi))
-
-        # shell rows in stratum-major order, each weighted by its stratum's
-        # mass over its pool size
-        sizes = np.bincount(grid.owner, minlength=len(grid.strata))
-        rows = np.argsort(grid.owner, kind="stable")
-        log_L = grid.log_L[rows]
-        rows = rows[grid.active[grid.owner[rows]]
-                    & (trace.log_lambda_current < log_L)
-                    & (log_L <= log_lambda)]
-        return (chi, grid.samples[rows], grid.mass / sizes[grid.owner[rows]],
-                NEG_INF)
+        trace.var_chi.append(var_chi_ss(self.grid, self.tags, self.log_L,
+                                        log_lambda,
+                                        min(chi, trace.chi_current)))
+        return (chi, *shell)
 
     def advance(self, iteration, log_lambda, trace):
         grid = self.grid
         top = np.full(len(grid.strata), NEG_INF)
-        np.maximum.at(top, grid.owner, grid.log_L)
+        np.maximum.at(top, self.tags, self.log_L)
         survivors = grid.active & (top > log_lambda)
         near_miss = grid.active & ~survivors & (
             top > log_lambda - NEAR_MISS_LOG_MARGIN)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (NEG_INF, ConfigFieldError, CountingLikelihood, LevelTrace,
-                   TerminationReason, evidence_update, finalize_estimate,
-                   shell_statistics)
+                   TerminationReason, check_count, evidence_update,
+                   finalize_estimate, shell_statistics)
 
 
 class StopRun(RuntimeError):
@@ -57,9 +57,7 @@ class LevelPolicy:
         if not 0 < self.escalation_cap < 1:
             raise ConfigFieldError("escalation_cap",
                                    "escalation_cap must lie in (0, 1)")
-        if not self.max_escalations >= 0:
-            raise ConfigFieldError("max_escalations",
-                                   "max_escalations must be >= 0")
+        check_count("max_escalations", self.max_escalations, 0)
 
     def fraction(self, iteration):
         """f(iteration), in (0, 1) for every iteration >= 1."""
@@ -74,10 +72,11 @@ class StoppingPolicy:
     max_evals: int = 20000
 
     def __post_init__(self):
-        for name in ("delta_evidence_tol", "chi_tol", "max_iterations",
-                     "max_evals"):
+        for name in ("delta_evidence_tol", "chi_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigFieldError(name, "%s must be positive" % name)
+        check_count("max_iterations", self.max_iterations, 1)
+        check_count("max_evals", self.max_evals, 1)
 
 
 def select_level(sorted_log_likelihoods, policy, iteration, log_lambda_prev):

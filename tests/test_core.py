@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
+from levidence import (ISConfig, KernelConfig, LevelPolicy, MCMCConfig,
+                       NestedConfig, SSConfig, StoppingPolicy,
                        grid_log_evidence, run_lla_is, run_lla_mcmc,
                        run_lla_ss, run_mc, run_nested)
-from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            DegenerateWeightsError, LevelTrace, MarginalPrior,
+from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
+                            CountingLikelihood, DegenerateWeightsError,
+                            LevelTrace, MarginalPrior,
                             _TruncatedNormal, effective_sample_size,
                             evidence_update, finalize_estimate, from_unit,
                             keyed_generators, log_density, log_sum_exp,
@@ -623,3 +625,32 @@ class TestFinalizeEstimate:
         est = finalize_estimate(t, None, 10, 3)
         assert np.isnan(est.posterior_mean).all()
         assert est.posterior_mean.shape == (3,)
+        assert est.standard_error_log is None
+        assert finalize_estimate(t, None, 10, 3, 0.25).standard_error_log \
+            == 0.25
+
+
+@pytest.mark.parametrize("config, field, bad", [
+    (SSConfig, "per_dim_counts", (2.5,)),
+    (SSConfig, "per_dim_counts", (True,)),
+    (SSConfig, "n_per_iteration", 100.5),
+    (SSConfig, "n_per_iteration", True),
+    (ISConfig, "n_initial", 100.5),
+    (MCMCConfig, "n_samples", 100.5),
+    (MCMCConfig, "n_replace", 5.0),
+    (KernelConfig, "steps_per_sample", 2.5),
+    (NestedConfig, "n_live", 50.5),
+    (LevelPolicy, "max_escalations", 2.5),
+    (StoppingPolicy, "max_iterations", True),
+    (StoppingPolicy, "max_evals", 2e4),
+])
+def test_count_fields_reject_non_integers(config, field, bad):
+    # n_samples is checked with an n_replace below it
+    extra = {"n_replace": 5} if field == "n_samples" else {}
+    with pytest.raises(ConfigFieldError) as info:
+        config(**{field: bad}, **extra)
+    assert info.value.field == field
+    # a NumPy integer is a count
+    good = (tuple(np.int64(math.ceil(c)) for c in bad)
+            if isinstance(bad, tuple) else np.int64(math.ceil(bad)))
+    config(**{field: good}, **extra)

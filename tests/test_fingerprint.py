@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
-LINE = re.compile(r"(\S+) (\S+) (\S+) (\d+) ([0-9a-f]{64})")
+LINE = re.compile(r"(\S+) (\S+) (\S+) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})")
 
 
 def _load_tool():

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from levidence.core import (NEG_INF, BayesianProblem, TerminationReason,
-                            normal_prior, uniform_prior)
-from levidence.lla_is import (GaussianISD, ISConfig, chi_is, fit_isd,
-                              run_lla_is)
+from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
+                            TerminationReason, normal_prior, uniform_prior)
+from levidence.lla_is import (GaussianISD, ISConfig, _ISLevels, chi_weighted,
+                              fit_isd, run_lla_is)
+from levidence.lla_ss import SSConfig, _SSLevels
 from levidence.models import make_benchmark
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
@@ -81,21 +82,68 @@ class TestFitISD:
         assert isd.stddev[0] > 0.0
 
 
+def _is_pool(log_L, log_w):
+    """An IS level whose pool holds these log-likelihoods and log weights;
+    the likelihood reads a row's log-likelihood off its coordinate."""
+    problem = BayesianProblem(dimension=1, priors=[uniform_prior(0.0, 1.0)],
+                              log_likelihood=lambda t: t[0])
+    # a guard of 0 never tops the pool up
+    levels = _ISLevels(problem, ISConfig(ess_threshold_fraction=0.0), 0)
+    levels.extend(np.reshape(log_L, (-1, 1)), np.asarray(log_w, dtype=float))
+    return levels
+
+
 class TestChiIS:
     def test_prior_samples_fraction(self):
         # unit weights: chi is just the exceedance fraction
-        log_L = np.log(np.arange(1, 11, dtype=float))
-        chi = chi_is(log_L, np.zeros(10), math.log(5.0))
+        levels = _is_pool(np.log(np.arange(1, 11, dtype=float)), np.zeros(10))
+        chi, *_ = levels.mass(1, math.log(5.0), LevelTrace())
         assert chi == pytest.approx(0.5)
 
     def test_weighted(self):
-        log_L = np.array([0.0, 1.0])
-        log_w = np.array([math.log(3.0), math.log(1.0)])
+        levels = _is_pool([0.0, 1.0], [math.log(3.0), math.log(1.0)])
         # only the second sample exceeds: (1/2) * 1.0
-        assert chi_is(log_L, log_w, 0.5) == pytest.approx(0.5)
+        chi, shell, weights, _ = levels.mass(1, 0.5, LevelTrace())
+        assert chi == pytest.approx(0.5)
+        # the shell is the first sample, weighted as in chi
+        assert shell.tolist() == [[0.0]] and weights == pytest.approx([1.5])
 
     def test_none_exceed(self):
-        assert chi_is(np.array([0.0]), np.array([0.0]), 1.0) == 0.0
+        levels = _is_pool([0.0], [0.0])
+        assert levels.mass(1, 1.0, LevelTrace())[0] == 0.0
+
+
+class TestChiWeighted:
+    def test_permuting_the_pool_leaves_chi_unchanged(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 7, 1000):
+            log_L = rng.normal(size=n)
+            w = np.exp(rng.normal(scale=3.0, size=n)) / n
+            chi = chi_weighted(log_L, w, 0.1)
+            for _ in range(5):
+                p = rng.permutation(n)
+                assert chi_weighted(log_L[p], w[p], 0.1) == chi
+
+    @pytest.mark.parametrize("levels", [
+        lambda p: _ISLevels(p, ISConfig(n_initial=200), 3),
+        lambda p: _SSLevels(p, SSConfig(per_dim_counts=(4,),
+                                        n_per_iteration=200), 3)],
+        ids=["lla_is", "lla_ss"])
+    def test_no_shell_row_has_zero_likelihood(self, levels):
+        # a fifth of the prior has likelihood 0: the first level lies above
+        # it, and the first shell, above the implicit level -inf, holds
+        # none of those rows
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: math.log(t[0]) if t[0] > 0.2
+            else NEG_INF)
+        levels = levels(problem)
+        trace = LevelTrace()
+        log_lambda = levels.level(1, trace)
+        assert np.any(levels.log_L == NEG_INF)
+        _, shell, weights, _ = levels.mass(1, log_lambda, trace)
+        assert len(shell) > 0 and np.all(weights > 0)
+        assert all(problem.log_likelihood(t) > NEG_INF for t in shell)
 
 
 class TestRunLLAIS:

@@ -11,8 +11,8 @@ from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
                             LevelTrace, TerminationReason, keyed_generators,
                             normal_prior, uniform_prior)
 from levidence.lla_ss import (SSConfig, StratificationError, _SSLevels,
-                              build_strata, chi_ss, run_lla_ss,
-                              sample_stratum, var_chi_ss)
+                              build_strata, run_lla_ss, sample_stratum,
+                              var_chi_ss)
 from levidence.models import make_benchmark
 from levidence.schedule import LevelPolicy, StoppingPolicy
 
@@ -125,6 +125,8 @@ class TestSampleStratum:
         levels.level(1, LevelTrace())
         assert shapes == [(60,), (60,)]
         grid = levels.grid
+        assert levels.tags.tolist() == np.repeat(np.arange(25),
+                                                 [3] * 10 + [2] * 15).tolist()
         for pos, rng in enumerate(keyed_generators((3, 1), range(25))):
             # the stratum drawn on its own, one uniform(size=n) per dimension
             n, expect = (3 if pos < 10 else 2), []
@@ -132,55 +134,92 @@ class TestSampleStratum:
                 lo, hi = (c - 1) / 5, c / 5
                 u = lo + (hi - lo) * (1.0 - rng.uniform(size=n))
                 expect.append(prior.inverse_cdf(np.clip(u, 1e-16, 1 - 1e-16)))
-            assert np.array_equal(grid.samples[grid.owner == pos],
+            assert np.array_equal(levels.samples[levels.tags == pos],
                                   np.column_stack(expect))
 
 
-class TestChiSS:
-    def _grid_with_pools(self, pools):
-        problem = BayesianProblem(
-            dimension=1, priors=[uniform_prior(0, 1)],
-            log_likelihood=lambda t: 0.0)
-        grid = build_strata(problem, (len(pools),))
-        grid.log_L = np.concatenate([np.asarray(lls, dtype=float)
-                                     for lls in pools])
-        grid.owner = np.repeat(np.arange(len(pools)), [len(l) for l in pools])
-        grid.samples = np.zeros((len(grid.log_L), 1))
-        return grid
+def _levels_with_pools(pools, active=None):
+    """An SS strategy whose pool holds pools[s], a list of log-likelihoods,
+    for stratum s; the likelihood reads a row's log-likelihood off its
+    coordinate."""
+    problem = BayesianProblem(
+        dimension=1, priors=[uniform_prior(0, 1)],
+        log_likelihood=lambda t: t[0])
+    levels = _SSLevels(problem, SSConfig(per_dim_counts=(len(pools),)), 0)
+    for pos, lls in enumerate(pools):
+        levels.extend(np.reshape(lls, (-1, 1)), np.full(len(lls), pos))
+    if active is not None:
+        levels.grid.active = np.asarray(active)
+    return levels
 
+
+def _chi(levels, log_lambda):
+    return levels.mass(1, log_lambda, LevelTrace())[0]
+
+
+class TestChiSS:
     def test_all_above(self):
-        grid = self._grid_with_pools([[1.0, 2.0], [3.0]])
-        assert chi_ss(grid, 0.0) == pytest.approx(1.0)
+        levels = _levels_with_pools([[1.0, 2.0], [3.0]])
+        assert _chi(levels, 0.0) == pytest.approx(1.0)
 
     def test_half_and_half(self):
-        grid = self._grid_with_pools([[1.0, 1.0], [-1.0, -1.0]])
-        assert chi_ss(grid, 0.0) == pytest.approx(0.5)
+        levels = _levels_with_pools([[1.0, 1.0], [-1.0, -1.0]])
+        assert _chi(levels, 0.0) == pytest.approx(0.5)
 
     def test_single_active_stratum_of_many(self):
-        grid = self._grid_with_pools([[0.0]] * 124 + [[1.0, 1.0, 0.0, 0.0,
-                                                       0.0]])
-        grid.mass = 1.0 / 125
-        assert chi_ss(grid, 0.5) == pytest.approx(0.4 / 125)
+        levels = _levels_with_pools(
+            [[0.0]] * 124 + [[1.0, 1.0, 0.0, 0.0, 0.0]],
+            active=[False] * 124 + [True])
+        assert _chi(levels, 0.5) == pytest.approx(0.4 / 125)
 
     def test_empty_pool_raises(self):
-        grid = self._grid_with_pools([[1.0], []])
+        levels = _levels_with_pools([[1.0], []])
         with pytest.raises(StratificationError):
-            chi_ss(grid, 0.0)
+            _chi(levels, 0.0)
 
     def test_variance_bounded_by_binomial(self):
-        grid = self._grid_with_pools([[1.0, -1.0, 1.0, -1.0],
-                                      [1.0, 1.0, -1.0, -1.0]])
-        chi = chi_ss(grid, 0.0)
-        v = var_chi_ss(grid, 0.0, chi)
+        levels = _levels_with_pools([[1.0, -1.0, 1.0, -1.0],
+                                     [1.0, 1.0, -1.0, -1.0]])
+        chi = _chi(levels, 0.0)
+        v = var_chi_ss(levels.grid, levels.tags, levels.log_L, 0.0, chi)
         n = 8
         assert 0.0 <= v <= chi * (1 - chi) / n + 1e-12
 
     def test_variance_two_strata_hand_value(self):
         # fractions 1 and 0 with equal masses: stratification removes all
         # between-strata variance, so the plug-in value is 0
-        grid = self._grid_with_pools([[1.0] * 50, [-1.0] * 50])
-        chi = chi_ss(grid, 0.0)
-        assert var_chi_ss(grid, 0.0, chi) == pytest.approx(0.0, abs=1e-15)
+        levels = _levels_with_pools([[1.0] * 50, [-1.0] * 50])
+        chi = _chi(levels, 0.0)
+        assert var_chi_ss(levels.grid, levels.tags, levels.log_L, 0.0,
+                          chi) == pytest.approx(0.0, abs=1e-15)
+        # the mass step records the same value
+        trace = LevelTrace()
+        levels.mass(1, 0.0, trace)
+        assert trace.var_chi == [0.0]
+
+    def test_weights_reproduce_the_per_stratum_sum(self):
+        # chi = sum over active strata of m e_s / n_s, summed per stratum
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n_strata = int(rng.integers(1, 30))
+            pools = [rng.normal(size=rng.integers(1, 40)).tolist()
+                     for _ in range(n_strata)]
+            active = rng.random(n_strata) < 0.7
+            levels = _levels_with_pools(pools, active)
+            log_lambda = rng.normal()
+            expect = sum(levels.grid.mass * np.sum(np.array(lls) > log_lambda)
+                         / len(lls) for lls, on in zip(pools, active) if on)
+            assert abs(_chi(levels, log_lambda) - expect) <= 1e-15
+
+    def test_retired_rows_weigh_nothing_and_leave_the_shell(self):
+        levels = _levels_with_pools([[0.5, 2.0], [0.2, 0.7, 3.0], [0.9]],
+                                    active=[True, False, True])
+        w = levels.weights()
+        assert w.tolist() == [1 / 6, 1 / 6, 0.0, 0.0, 0.0, 1 / 3]
+        # every row but the stratum-1 ones lies in the shell (0, 1]
+        _, shell, weights, _ = levels.mass(1, 1.0, LevelTrace())
+        assert sorted(shell.ravel().tolist()) == [0.5, 0.9]
+        assert sorted(weights.tolist()) == [1 / 6, 1 / 3]
 
 
 class TestRunLLASS:
@@ -219,13 +258,12 @@ class TestRunLLASS:
         lam = math.log(2.0 * 0.7)
         ss_vals, mc_vals = [], []
         for seed in range(100):
-            grid = build_strata(problem, (1,))
-            s = sample_stratum(problem, (1,), np.zeros(200, dtype=int),
-                               _uniforms(seed, 1, 200))
-            grid.samples = s
-            grid.log_L = np.array([problem.log_likelihood(t) for t in s])
-            grid.owner = np.zeros(len(s), dtype=int)
-            ss_vals.append(chi_ss(grid, lam))
+            levels = _SSLevels(problem, SSConfig(per_dim_counts=(1,)), seed)
+            levels.extend(sample_stratum(problem, (1,),
+                                         np.zeros(200, dtype=int),
+                                         _uniforms(seed, 1, 200)),
+                          np.zeros(200, dtype=int))
+            ss_vals.append(_chi(levels, lam))
             draws = np.random.default_rng(1000 + seed).uniform(size=200)
             mc_vals.append(np.mean(np.log(2.0 * draws) > lam))
         assert stats.ks_2samp(ss_vals, mc_vals).pvalue > 0.01

@@ -6,7 +6,12 @@ every chain built its own default_rng(SeedSequence([seed, iteration,
 chain]))), the regression likelihood's batch form, nested's batched refills
 and tie rule, and every sampler drawing its points through core.from_unit (the
 importance-sampling and d = 4 stratified pins).  They are asserted with ==,
-so any change of stream fails here.  The second half checks that no
+so any change of stream fails here.  Three were re-recorded in their last
+digits when importance and stratified sampling came to share one weighted
+pool, whose chi is an exactly rounded sum of row weights: the bimodal_2d
+stratified pin and the conjugate_gaussian and truncated_gaussian_1d
+importance-sampling pins.  Their streams, levels and evaluation counts
+held; only the sums moved.  The second half checks that no
 estimator builds a SeedSequence per chain.
 """
 
@@ -35,7 +40,7 @@ PINNED = [
     ("bimodal_2d", run_nested, NestedConfig, 7,
      "0.1351955315902212", 2148),
     ("bimodal_2d", run_lla_ss, SSConfig, 7,
-     "-11.364245464333388", 20000),
+     "-11.364245464333392", 20000),
     # the regression likelihood's batch form, through every set of points
     ("polynomial_regression_d2", run_lla_mcmc, MCMCConfig, 7,
      "-2066.0744034289924", 11577),
@@ -60,9 +65,9 @@ PINNED = [
     # prior and importance-density draws at d = 1 and 3, and a
     # stratified level at d = 4 (625 strata)
     ("conjugate_gaussian", run_lla_is, ISConfig, 7,
-     "-91.21260898709264", 20117),
+     "-91.21260898709265", 20117),
     ("truncated_gaussian_1d", run_lla_is, ISConfig, 7,
-     "13.06396738674854", 20660),
+     "13.063967386748542", 20660),
     ("polynomial_regression_d2", run_lla_is, ISConfig, 7,
      "-69007.90236125528", 20001),
     ("polynomial_regression_d3", run_lla_ss, SSConfig, 7,

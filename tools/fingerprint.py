@@ -4,12 +4,14 @@ output bit for bit.
     python3 tools/fingerprint.py            # 98 runs, about 11 s
     python3 tools/fingerprint.py --quick    # a few runs, under 1 s
 
-Each run prints one line: benchmark, estimator, config, seed and a SHA-256
+Each run prints one line: benchmark, estimator, config, seed, a SHA-256
 over the log-evidence, the evaluation count, the stop reason, the lambda,
 chi and n_evals traces, the posterior moments and the Monte Carlo standard
-error.  The last line is a SHA-256 over all run lines.  Run it on two
-checkouts and compare the output; it imports levidence from the src/ next
-to this file, and from nowhere else.
+error, and a second SHA-256 over the ladder alone: the lambda and n_evals
+traces, the stop reason and the evaluation count.  A change that moves
+only sums keeps the second hash.  The last line is a SHA-256 over all run
+lines.  Run it on two checkouts and compare the output; it imports
+levidence from the src/ next to this file, and from nowhere else.
 """
 
 from __future__ import annotations
@@ -127,14 +129,25 @@ def plan(quick):
         for est, name, run in HIGHDIM]
 
 
+def _sha256(fields):
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def digest(est):
     """SHA-256 over what a run returns, floats by their repr."""
     trace = est.trace
-    fields = (est.log_evidence, est.total_evals,
-              est.termination_reason.value, trace.log_lambda, trace.chi,
-              trace.n_evals, est.posterior_mean.tolist(),
-              est.posterior_variance.tolist(), est.standard_error_log)
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
+    return _sha256((est.log_evidence, est.total_evals,
+                    est.termination_reason.value, trace.log_lambda,
+                    trace.chi, trace.n_evals, est.posterior_mean.tolist(),
+                    est.posterior_variance.tolist(), est.standard_error_log))
+
+
+def ladder_digest(est):
+    """SHA-256 over a run's ladder: the levels and where the evaluations
+    went, without the sums."""
+    trace = est.trace
+    return _sha256((trace.log_lambda, trace.n_evals,
+                    est.termination_reason.value, est.total_evals))
 
 
 def main(argv=None):
@@ -150,7 +163,8 @@ def main(argv=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = run(problems[bench], seed)
-        line = "%s %s %s %d %s" % (bench, est_name, config, seed, digest(est))
+        line = "%s %s %s %d %s %s" % (bench, est_name, config, seed,
+                                      digest(est), ladder_digest(est))
         total.update((line + "\n").encode())
         print(line, flush=True)
     print("total %s" % total.hexdigest())
