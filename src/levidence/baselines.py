@@ -72,6 +72,11 @@ class _NestedLevels(LevelStrategy):
     level.  Then one replenish call runs a chain per dead slot from the
     survivors above the level and writes them into the slots in the order of
     death; the run's j-th death draws from SeedSequence([seed, j])'s stream.
+
+    Between refills no log-likelihood changes, so the live set is sorted
+    once per refill (stably, so tied points keep slot order) and the dead
+    slots are a prefix of that order: a level is the entry at the cursor,
+    its deaths the run of entries up to it, and no step scans the live set.
     """
 
     def __init__(self, problem, config, seed):
@@ -80,13 +85,23 @@ class _NestedLevels(LevelStrategy):
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.live = problem.sample_prior(rng0, config.n_live)
         self.live_log_L = self.logL_fn.rows(self.live)
-        self.empty = []                 # dead slots, in the order of death
+        self._sort()
         self.n_deaths = 0
         self.batch = math.ceil(NESTED_REFILL_FRACTION * config.n_live)
 
+    def _sort(self):
+        self.order = np.argsort(self.live_log_L, kind="stable")
+        self.sorted_log_L = self.live_log_L[self.order]
+        self.cursor = 0                 # the dead slots are order[:cursor]
+
+    @property
+    def empty(self):
+        """The dead slots, in the order of death."""
+        return self.order[:self.cursor].tolist()
+
     def level(self, iteration, trace):
         # living points lie above the last level: only a first -inf stops
-        log_lambda = float(np.delete(self.live_log_L, self.empty).min())
+        log_lambda = float(self.sorted_log_L[self.cursor])
         if log_lambda <= trace.log_lambda_current:
             raise StopRun(TerminationReason.degenerate_level)
         return log_lambda
@@ -96,26 +111,27 @@ class _NestedLevels(LevelStrategy):
         # count towards this level; with no live point strictly above (a
         # plateau) the run stops before shrinking.  A dead slot keeps its
         # point, at or below the last level, so the points above are alive.
-        above = self.live_log_L > log_lambda
-        dying = np.flatnonzero(~above & (self.live_log_L
-                                         > trace.log_lambda_current))
-        slots = self.empty + dying.tolist()
+        n_dead = int(np.searchsorted(self.sorted_log_L, log_lambda, "right"))
+        dying = self.order[self.cursor:n_dead]
         self.n_deaths += len(dying)
-        n_alive = len(above) - len(self.empty)
+        n_alive = len(self.order) - self.cursor
         chi = lla_mcmc.chi_mcmc(trace.chi_current, n_alive - len(dying),
                                 n_alive)
         dead = self.live[dying]
-        if len(slots) >= self.batch or not above.any():
+        if n_dead >= self.batch or n_dead == len(self.order):
+            slots = self.order[:n_dead]
+            above = self.live_log_L > log_lambda
             self.live[slots], self.live_log_L[slots] = lla_mcmc.replenish(
                 self.live[above], self.live_log_L[above], log_lambda,
                 self.stddev, self.config.kernel.steps_per_sample,
                 self.problem, self.logL_fn,
                 list(keyed_generators((self.seed,), range(
-                    self.n_deaths - len(slots) + 1, self.n_deaths + 1))))
-            slots = []
-        self.empty = slots
+                    self.n_deaths - n_dead + 1, self.n_deaths + 1))))
+            self._sort()
+        else:
+            self.cursor = n_dead
         # the live set bounds what the remaining mass can still contribute
-        return chi, dead, None, self.live_log_L.max() + math.log(chi)
+        return chi, dead, None, self.sorted_log_L[-1] + math.log(chi)
 
     def tail(self, trace):
         # the final live set, without the empty slots: each point carries

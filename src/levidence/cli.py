@@ -24,7 +24,6 @@ import argparse
 import configparser
 import csv
 import dataclasses
-import math
 import os
 import re
 import sys
@@ -65,11 +64,10 @@ class ConfigError(Exception):
 
 
 def _fmt(x):
-    """Stable decimal rendering for table cells."""
+    """Decimal rendering for table cells; a float (a NumPy one included)
+    is written as the shortest string that reads back to the same value."""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return "%.10g" % x
+        return repr(float(x))
     return str(x)
 
 

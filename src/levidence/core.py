@@ -68,6 +68,13 @@ def log_sum_exp(xs):
     return float(m + np.log(np.sum(np.exp(xs - m))))
 
 
+def log_add_exp(a, b):
+    """log(exp(a) + exp(b)) for a and b above -inf and not NaN: the bits of
+    log_sum_exp([a, b]), from NumPy's scalar ufuncs without an array."""
+    m = max(a, b)
+    return float(m + np.log(np.exp(a - m) + np.exp(b - m)))
+
+
 def effective_sample_size(weights):
     """(sum w)^2 / sum w^2 for nonnegative weights; in [1, N]."""
     w = np.asarray(weights, dtype=float)
@@ -239,8 +246,9 @@ def marginal_blocks(marginals):
     evaluated and drawn in one call through the first marginal's attributes,
     looked up at call time so that a wrapper set on that object sees it.
 
-    cols is slice(None) when one family covers every column, the index array
-    of a family of several columns, or else one column index, whose marginal
+    cols is slice(None) when one family covers every column (a 1-D prior
+    included, whose marginal then sees the whole array), the index array of
+    a family of several columns, or else one column index, whose marginal
     sees 1-D columns.  Build the blocks once per product, not per call.
     """
     groups = {}
@@ -249,7 +257,7 @@ def marginal_blocks(marginals):
         # a marginal without a key is a family of its own, named by its
         # column; an int never equals the 1-tuple of a key
         groups.setdefault(k if key is None else (key,), (m, []))[1].append(k)
-    if len(groups) == 1 and len(marginals) > 1:
+    if len(groups) == 1:
         return ((marginals[0], slice(None)),)
     return tuple((m, cols[0] if len(cols) == 1 else np.array(cols))
                  for m, cols in groups.values())
@@ -517,10 +525,11 @@ class CountingLikelihood:
                 raise ValueError("log_likelihood_rows returned shape %s; "
                                  "expected %s" % (values.shape, (n,)))
         self.count += n
-        bad = np.flatnonzero(~(values < math.inf))
-        if len(bad):
-            raise ValueError(_invalid_log_likelihood(values[bad[0]],
-                                                     samples[bad[0]]))
+        finite = values < math.inf      # False at NaN and at +inf
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise ValueError(_invalid_log_likelihood(values[bad],
+                                                     samples[bad]))
         return values
 
 
@@ -582,7 +591,7 @@ class LevelTrace:
         if log_increment > NEG_INF:
             self.log_evidence = (
                 float(log_increment) if self.log_evidence == NEG_INF
-                else log_sum_exp([self.log_evidence, log_increment]))
+                else log_add_exp(self.log_evidence, log_increment))
 
 
 @dataclass
@@ -647,6 +656,11 @@ def shell_statistics(samples, weights=None):
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return None, None
+    if weights is None and len(samples) == 1:
+        # the mean over one row sums it onto 0.0 (so -0.0 reads 0.0) and
+        # divides by 1, which is exact
+        row = samples[0] + 0.0
+        return row, row * row
     if weights is None:
         mean = samples.mean(axis=0)
         second = (samples**2).mean(axis=0)

@@ -39,6 +39,49 @@ def _gaussian_problem():
         - 0.5 * t[0] ** 2)
 
 
+# log L = round(k theta) on U(0, 1) at n_live = 100 and seed 11, recorded
+# before the live set was kept sorted between refills.  At k = 20 about
+# five points tie on each plateau, more than the three dead slots a refill
+# waits for, so ties straddle refills and every level refills; at k = 100
+# single deaths, ties and levels without a refill mix.  Levels are integers
+TIED_LADDERS = {
+    20: dict(
+        reason=TerminationReason.degenerate_level,
+        log_evidence=16.96756997836168, total_evals=5068,
+        log_lambda=list(range(21)),
+        chi=[0.97, 0.8826999999999999, 0.8473919999999999,
+             0.7541788799999999, 0.6938445696, 0.6522138954239999,
+             0.5804703669273599, 0.534032737573171, 0.4913101185673174,
+             0.46183151145327833, 0.4248849905370161, 0.39939189110479517,
+             0.3394831074390759, 0.2749813170256515, 0.2392337458123168,
+             0.2033486839404693, 0.16064546031297072, 0.11727118602846863,
+             0.06567186417594244, 0.021671715178061005, 0.0],
+        n_evals=[157, 323, 403, 613, 762, 881, 1094, 1248, 1403, 1520,
+                 1673, 1790, 2077, 2421, 2664, 2930, 3279, 3700, 4315, 5068,
+                 5068]),
+    100: dict(
+        reason=TerminationReason.chi_floor,
+        log_evidence=95.18847259931732, total_evals=7212,
+        log_lambda=[2, 3, 4, 5, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19, 20,
+                    22, 24, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 38,
+                    40, 41, 43, 44, 46, 47, 48, 49, 50, 51, 54, 55, 56, 57,
+                    58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71,
+                    72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85,
+                    86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99,
+                    100],
+        chi_last=0.003874429477949219,
+        n_evals=[157, 233, 233, 233, 290, 290, 366, 366, 482, 482, 559, 559,
+                 619, 619, 674, 753, 753, 812, 812, 892, 945, 945, 1005,
+                 1080, 1157, 1226, 1226, 1285, 1285, 1345, 1345, 1405, 1405,
+                 1461, 1461, 1536, 1536, 1592, 1672, 1732, 1787, 1879, 1879,
+                 1997, 1997, 2066, 2138, 2138, 2185, 2240, 2315, 2369, 2443,
+                 2555, 2555, 2676, 2676, 2822, 2822, 2897, 2972, 3074, 3074,
+                 3139, 3191, 3264, 3264, 3431, 3554, 3641, 3743, 3896, 4001,
+                 4117, 4246, 4361, 4597, 4714, 4926, 5081, 5217, 5504, 5700,
+                 6044, 6553, 7212, 7212]),
+}
+
+
 class TestRunMC:
     def test_uniform_linear_within_error_bars(self):
         est = run_mc(_uniform_problem(), 20000, seed=0)
@@ -174,6 +217,24 @@ class TestRunNested:
             StoppingPolicy(max_iterations=1000, max_evals=10**6))), 3)
         assert est.termination_reason == TerminationReason.degenerate_level
         assert est.trace.log_lambda == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("k", sorted(TIED_LADDERS))
+    def test_tied_ladder_is_pinned(self, k):
+        pin = TIED_LADDERS[k]
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: float(round(k * t[0])))
+        est = run_nested(problem, NestedConfig(n_live=100, stopping=(
+            StoppingPolicy(max_iterations=1000, max_evals=10**6))), 11)
+        assert est.termination_reason == pin["reason"]
+        assert est.log_evidence == pin["log_evidence"]
+        assert est.total_evals == pin["total_evals"]
+        assert est.trace.log_lambda == pin["log_lambda"]
+        assert est.trace.n_evals == pin["n_evals"]
+        if "chi" in pin:
+            assert est.trace.chi == pin["chi"]
+        else:
+            assert est.trace.chi[-2] == pin["chi_last"]
 
     def test_dead_slots_refill_in_batches(self, monkeypatch):
         # n_live = 100 refills k = 3 dead slots per replenish call, looked

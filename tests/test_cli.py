@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import math
 import multiprocessing
 import os
 import pickle
@@ -10,6 +11,7 @@ import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from levidence import cli
@@ -310,6 +312,21 @@ class TestReplicationSeed:
         assert replication_seed(7, 0) == replication_seed(7, 0)
         assert replication_seed(7, 0) != replication_seed(7, 1)
         assert replication_seed(7, 0) != replication_seed(8, 0)
+
+
+def test_written_floats_read_back_exactly():
+    # levels one ulp apart stay distinct in a written trace, so its levels
+    # read back strictly increasing; NumPy floats are written as floats
+    x = np.float64(-77.61393380534312)
+    values = [x, np.nextafter(x, 0.0), 0.1, -0.0, 5e-324, 1.7e308,
+              123456789.123456789, -math.inf, math.inf]
+    for v in values:
+        text = cli._fmt(v)
+        assert float(text) == v and math.copysign(1.0, float(text)) == \
+            math.copysign(1.0, v), text
+    assert cli._fmt(x) != cli._fmt(np.nextafter(x, 0.0))
+    assert [cli._fmt(v) for v in (x, -math.inf, math.nan, 7, "")] == [
+        "-77.61393380534312", "-inf", "nan", "7", ""]
 
 
 class TestRun:

@@ -22,7 +22,8 @@ from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
                             LevelTrace, MarginalPrior,
                             _TruncatedNormal, effective_sample_size,
                             evidence_update, finalize_estimate, from_unit,
-                            keyed_generators, log_density, log_sum_exp,
+                            keyed_generators, log_add_exp, log_density,
+                            log_sum_exp,
                             log_terms, marginal_blocks, normal_prior,
                             posterior_moments, shell_statistics,
                             truncated_normal_prior, uniform_prior)
@@ -71,6 +72,17 @@ class TestLogSumExp:
         rng = np.random.default_rng(0)
         xs = rng.normal(size=50)
         assert log_sum_exp(xs) == pytest.approx(np.log(np.exp(xs).sum()))
+
+
+def test_log_add_exp_has_the_bits_of_log_sum_exp():
+    # the running log-evidence adds each increment with log_add_exp: pairs
+    # of every spread, from equal terms to one that underflows to 0
+    rng = np.random.default_rng(24)
+    a = rng.normal(0.0, 300.0, 100_000)
+    b = a + rng.normal(0.0, 1.0, a.size) * 10.0 ** rng.uniform(-12, 3, a.size)
+    b[:100] = a[:100]
+    for x, y in zip(a.tolist(), b.tolist()):
+        assert log_add_exp(x, y) == log_sum_exp([x, y]), (x, y)
 
 
 class TestEffectiveSampleSize:
@@ -229,8 +241,10 @@ class TestMarginalBlocks:
         assert rest == [(ms[k], k) for k in (1, 3, 4, 5)]
         ns = [normal_prior(0.0, 1.0) for _ in range(4)]
         assert marginal_blocks(ns) == ((ns[0], slice(None)),)
+        # a 1-D prior is one family covering every column, keyed or not
         u = uniform_prior(0.0, 1.0)
-        assert marginal_blocks([u]) == ((u, 0),)
+        assert marginal_blocks([u]) == ((u, slice(None)),)
+        assert marginal_blocks([ms[5]]) == ((ms[5], slice(None)),)
 
     def test_equal_to_one_call_per_column(self):
         seen = []
@@ -616,6 +630,20 @@ class TestShellStatistics:
     def test_weighted(self):
         mean, _ = shell_statistics(np.array([[0.0], [4.0]]), [3.0, 1.0])
         assert mean[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_one_row_has_the_bits_of_the_mean(self, d):
+        # nested sampling's shells are one row each; the moments must be
+        # those of a mean over rows, signed zeros and non-finite values too
+        rng = np.random.default_rng(d)
+        row = rng.normal(0.0, 10.0, d) * 10.0 ** rng.integers(-150, 150, d)
+        row[:4] = [-0.0, 0.0, -INF, np.nan][:d]
+        samples = row[None]
+        mean, second = shell_statistics(samples)
+        assert mean.tobytes() == samples.mean(axis=0).tobytes()
+        assert second.tobytes() == (samples ** 2).mean(axis=0).tobytes()
+        mean[:] = 1.0                   # a copy: the shell is not changed
+        assert samples.tobytes() == row.tobytes()
 
 
 class TestFinalizeEstimate:
