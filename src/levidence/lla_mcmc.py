@@ -14,10 +14,10 @@ COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
 coordinate accepts on its own prior ratio, cached per coordinate from
 core.log_terms, which makes one log_pdf call per block of identical prior
 marginals.  replenish is the only code that moves a chain, and
-constrained_mh_step the only step: nested sampling's refills of its dead
-slots are batches too.  A level with no survivor ends the run with
-StopRun(degenerate_level).  A prior std that is not finite and positive is
-rejected before any chain moves.
+constrained_mh_step the only step.  _PopulationLevels is the one population
+strategy, and nested sampling (baselines._NestedLevels) a subclass of it.
+A prior std that is not finite and positive is rejected before any chain
+moves.
 """
 
 from __future__ import annotations
@@ -158,39 +158,75 @@ def chi_mcmc(chi_prev, n_pass, n_total):
     return chi_prev * n_pass / n_total
 
 
-class _MCMCLevels(LevelStrategy):
-    """A fixed-size population, replenished above each level by MCMC."""
+class _PopulationLevels(LevelStrategy):
+    """n points, sorted once per refill; the dead are order[:cursor].  A
+    level is select_level over the living points at the fraction n_kill / n.
+    Every living point at or below it dies, ties included, and chi shrinks
+    by the living points' pass fraction.  Once batch have died, replenish
+    refills them from the survivors.  The parts generators and place
+    default to LLA-MCMC's.
+    """
 
-    def __init__(self, problem, config, seed):
+    def __init__(self, problem, config, seed, n, n_kill, batch):
         super().__init__(problem, config, seed)
         self.kernel_stddev = config.kernel.resolve(problem)
-        f = config.n_replace / config.n_samples
+        f = n_kill / n
         self.level_policy = LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
+        self.batch = batch
+        self.n_deaths = 0
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self.samples = problem.sample_prior(rng0, config.n_samples)
+        self.samples = problem.sample_prior(rng0, n)
         self.log_L = self.logL_fn.rows(self.samples)
+        self._sort()
+
+    def _sort(self):
+        self.order = np.argsort(self.log_L)
+        self.sorted_log_L = self.log_L[self.order]
+        self.cursor = 0                 # the dead points are order[:cursor]
 
     def level(self, iteration, trace):
-        log_lambda, _ = select_level(np.sort(self.log_L), self.level_policy,
-                                     iteration, trace.log_lambda_current)
+        log_lambda, _ = select_level(self.sorted_log_L[self.cursor:],
+                                     self.level_policy, iteration,
+                                     trace.log_lambda_current)
         return log_lambda
 
     def mass(self, iteration, log_lambda, trace):
-        self.passing = self.log_L > log_lambda
-        chi = chi_mcmc(trace.chi_current, int(self.passing.sum()),
-                       self.config.n_samples)
-        return chi, self.samples[~self.passing], None, NEG_INF
+        # the dead lie at or below the last level, before the cursor
+        n_dead = int(np.searchsorted(self.sorted_log_L, log_lambda, "right"))
+        dying = self.order[self.cursor:n_dead]
+        n_alive = len(self.order) - self.cursor
+        self.cursor = n_dead
+        self.n_deaths += len(dying)
+        chi = chi_mcmc(trace.chi_current, n_alive - len(dying), n_alive)
+        return chi, self.samples[np.sort(dying)], None, NEG_INF
 
     def advance(self, iteration, log_lambda, trace):
-        passing = self.passing
-        n_new = self.config.n_samples - int(passing.sum())
-        new_samples, new_log_L = replenish(
-            self.samples[passing], self.log_L[passing], log_lambda,
+        if self.cursor < self.batch:
+            return
+        above = self.log_L > log_lambda
+        self.place(above, *replenish(
+            self.samples[above], self.log_L[above], log_lambda,
             self.kernel_stddev, self.config.kernel.steps_per_sample,
-            self.problem, self.logL_fn,
-            list(keyed_generators((self.seed, iteration), range(n_new))))
-        self.samples = np.vstack([self.samples[passing], new_samples])
-        self.log_L = np.concatenate([self.log_L[passing], new_log_L])
+            self.problem, self.logL_fn, list(self.generators(iteration))))
+        self._sort()
+
+    def generators(self, iteration):
+        """Chain c of iteration i draws from SeedSequence([seed, i, c])."""
+        return keyed_generators((self.seed, iteration), range(self.cursor))
+
+    def place(self, above, samples, log_L):
+        """The survivors (above the level) in order, then the new points."""
+        self.samples = np.vstack([self.samples[above], samples])
+        self.log_L = np.concatenate([self.log_L[above], log_L])
+
+
+class _MCMCLevels(_PopulationLevels):
+    """Each level kills the n_replace lowest of n_samples (more on a tie)
+    and refills them at once."""
+
+    def __init__(self, problem, config, seed):
+        super().__init__(problem, config, seed, config.n_samples,
+                         config.n_replace, 1)
 
 
 def run_lla_mcmc(problem, config, seed):

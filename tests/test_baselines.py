@@ -12,7 +12,7 @@ from levidence.baselines import (NESTED_REFILL_FRACTION, NESTED_WALK_STEPS,
 from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
                             MarginalPrior, TerminationReason, log_sum_exp,
                             normal_prior, uniform_prior)
-from levidence.lla_mcmc import KernelConfig
+from levidence.lla_mcmc import KernelConfig, MCMCConfig, run_lla_mcmc
 from levidence.schedule import StoppingPolicy, run_levels
 
 
@@ -43,7 +43,10 @@ def _gaussian_problem():
 # before the live set was kept sorted between refills.  At k = 20 about
 # five points tie on each plateau, more than the three dead slots a refill
 # waits for, so ties straddle refills and every level refills; at k = 100
-# single deaths, ties and levels without a refill mix.  Levels are integers
+# single deaths, ties and levels without a refill mix.  Levels are integers.
+# The n_evals traces and totals were re-recorded when refills moved after
+# the stop check: a refill's evaluations count towards the next level, and
+# none is drawn after the last one
 TIED_LADDERS = {
     20: dict(
         reason=TerminationReason.degenerate_level,
@@ -56,12 +59,12 @@ TIED_LADDERS = {
              0.3394831074390759, 0.2749813170256515, 0.2392337458123168,
              0.2033486839404693, 0.16064546031297072, 0.11727118602846863,
              0.06567186417594244, 0.021671715178061005, 0.0],
-        n_evals=[157, 323, 403, 613, 762, 881, 1094, 1248, 1403, 1520,
-                 1673, 1790, 2077, 2421, 2664, 2930, 3279, 3700, 4315, 5068,
+        n_evals=[100, 157, 323, 403, 613, 762, 881, 1094, 1248, 1403,
+                 1520, 1673, 1790, 2077, 2421, 2664, 2930, 3279, 3700, 4315,
                  5068]),
     100: dict(
         reason=TerminationReason.chi_floor,
-        log_evidence=95.18847259931732, total_evals=7212,
+        log_evidence=95.18847259931732, total_evals=6553,
         log_lambda=[2, 3, 4, 5, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19, 20,
                     22, 24, 25, 26, 28, 29, 30, 31, 32, 34, 35, 36, 37, 38,
                     40, 41, 43, 44, 46, 47, 48, 49, 50, 51, 54, 55, 56, 57,
@@ -70,15 +73,15 @@ TIED_LADDERS = {
                     86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99,
                     100],
         chi_last=0.003874429477949219,
-        n_evals=[157, 233, 233, 233, 290, 290, 366, 366, 482, 482, 559, 559,
-                 619, 619, 674, 753, 753, 812, 812, 892, 945, 945, 1005,
+        n_evals=[100, 157, 233, 233, 233, 290, 290, 366, 366, 482, 482, 559,
+                 559, 619, 619, 674, 753, 753, 812, 812, 892, 945, 945, 1005,
                  1080, 1157, 1226, 1226, 1285, 1285, 1345, 1345, 1405, 1405,
                  1461, 1461, 1536, 1536, 1592, 1672, 1732, 1787, 1879, 1879,
                  1997, 1997, 2066, 2138, 2138, 2185, 2240, 2315, 2369, 2443,
                  2555, 2555, 2676, 2676, 2822, 2822, 2897, 2972, 3074, 3074,
                  3139, 3191, 3264, 3264, 3431, 3554, 3641, 3743, 3896, 4001,
                  4117, 4246, 4361, 4597, 4714, 4926, 5081, 5217, 5504, 5700,
-                 6044, 6553, 7212, 7212]),
+                 6044, 6553, 6553]),
 }
 
 
@@ -197,20 +200,22 @@ class TestRunNested:
         replenish = lla_mcmc.replenish
         monkeypatch.setattr(lla_mcmc, "replenish", recording)
         levels = _NestedLevels(problem, NestedConfig(n_live=40), 3)
-        tied = np.flatnonzero(levels.live_log_L == 0.0)
+        tied = np.flatnonzero(levels.log_L == 0.0)
         m = len(tied)
         assert 1 < m < 40
         trace = LevelTrace()
-        dying = levels.live[tied].tolist()
+        dying = levels.samples[tied].tolist()
         assert levels.level(1, trace) == 0.0
         chi, dead, _, _ = levels.mass(1, 0.0, trace)
         assert chi == (40 - m) / 40
         assert dead.tolist() == dying
+        assert refills == [] and levels.cursor == m
+        levels.advance(1, 0.0, trace)
         assert refills == [
             [np.random.default_rng(np.random.SeedSequence([3, j]))
              .bit_generator.state["state"] for j in range(1, m + 1)]]
-        assert levels.empty == [] and levels.n_deaths == m
-        assert np.all(levels.live_log_L > 0.0)
+        assert levels.cursor == 0 and levels.n_deaths == m
+        assert np.all(levels.log_L > 0.0)
         # on the top plateau every living point ties, so no chain can
         # start; the run stops there and its tail row credits the plateau
         est = run_nested(problem, NestedConfig(n_live=40, stopping=(
@@ -256,32 +261,89 @@ class TestRunNested:
                            stopping=StoppingPolicy(max_iterations=30))
         est = run_nested(_uniform_problem(), cfg, seed=6)
         assert est.termination_reason == TerminationReason.max_iterations
+        # the refill due at the 30th death would come after the stop
         assert refills == [
             [np.random.default_rng(np.random.SeedSequence([6, i]))
              .bit_generator.state["state"] for i in range(j, j + 3)]
-            for j in range(1, 31, 3)]
-        # each refill's evaluations count towards the level of its last
+            for j in range(1, 28, 3)]
+        # each refill's evaluations count towards the level after its last
         # death, so the count grows only every third level
         n_evals = est.trace.n_evals[:-1]
-        assert n_evals[0] == n_evals[1] == 100
-        assert n_evals[2] > 100 and n_evals[3] == n_evals[2]
+        assert n_evals[0] == n_evals[1] == n_evals[2] == 100
+        assert n_evals[3] > 100 and n_evals[4] == n_evals[3]
+
+    @pytest.mark.parametrize("max_iterations", (1, 7))
+    def test_no_refill_after_the_last_level(self, monkeypatch,
+                                            max_iterations):
+        # at n_live = 40 a refill is due at every death, but the last
+        # level's dead point stays dead: the tail has 39 living points
+        refills = []
+
+        def recording(*args):
+            refills.append(len(args[-1]))
+            return replenish(*args)
+
+        replenish = lla_mcmc.replenish
+        monkeypatch.setattr(lla_mcmc, "replenish", recording)
+        cfg = NestedConfig(n_live=40, stopping=StoppingPolicy(
+            max_iterations=max_iterations))
+        levels = _NestedLevels(_uniform_problem(), cfg, 5)
+        est = run_levels(levels)
+        assert est.termination_reason == TerminationReason.max_iterations
+        assert refills == [1] * (max_iterations - 1)
+        assert levels.cursor == 1
+        assert est.total_evals == est.trace.n_evals[-2]
+        assert est.trace.log_evidence_increments[-1] == pytest.approx(
+            log_sum_exp(np.delete(levels.log_L, levels.order[0]))
+            - math.log(39) + math.log(est.trace.chi[-2]), rel=1e-12)
 
     def test_tail_credits_live_slots_only(self):
-        # 50 deaths at n_live = 100 leave 50 mod 3 = 2 slots empty; each of
+        # 50 deaths at n_live = 100 leave 50 mod 3 = 2 slots dead; each of
         # the 98 live points carries chi_final / 98
         cfg = NestedConfig(n_live=100,
                            stopping=StoppingPolicy(max_iterations=50))
         levels = _NestedLevels(_uniform_problem(), cfg, 2)
         trace = run_levels(levels).trace
-        assert len(levels.empty) == 2
+        assert levels.cursor == 2
         alive = np.ones(100, dtype=bool)
-        alive[levels.empty] = False
-        assert np.all(levels.live_log_L[~alive] <= trace.log_lambda[-2])
+        alive[levels.order[:levels.cursor]] = False
+        assert np.all(levels.log_L[~alive] <= trace.log_lambda[-2])
         assert trace.log_evidence_increments[-1] == pytest.approx(
-            log_sum_exp(levels.live_log_L[alive]) - math.log(98)
+            log_sum_exp(levels.log_L[alive]) - math.log(98)
             + math.log(trace.chi[-2]), rel=1e-12)
         assert trace.shell_means[-1] == pytest.approx(
-            levels.live[alive].mean(axis=0).tolist())
+            levels.samples[alive].mean(axis=0).tolist())
+
+    def test_zero_likelihood_region(self):
+        # L = 2 theta above 0.02 and 0 below: the first level escalates its
+        # fraction past the first live set's points at log L = -inf, and
+        # the run goes on to its chi floor.  Over seeds 0-19 every run ends
+        # there, with an error of sd 0.027 nats
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: math.log(2.0 * t[0])
+            if t[0] > 0.02 else NEG_INF)
+        cfg = NestedConfig(n_live=500,
+                           stopping=StoppingPolicy(max_iterations=20000,
+                                                   max_evals=10**6))
+        est = run_nested(problem, cfg, seed=0)
+        assert est.termination_reason == TerminationReason.chi_floor
+        assert est.trace.log_lambda[0] > NEG_INF
+        assert abs(est.log_evidence - math.log(1 - 0.02 ** 2)) < 0.1
+
+    @pytest.mark.parametrize("run, config", [
+        (run_nested, NestedConfig(n_live=50)),
+        (run_lla_mcmc, MCMCConfig(n_samples=100, n_replace=5))],
+        ids=["nested", "lla_mcmc"])
+    def test_zero_likelihood_everywhere(self, run, config):
+        # no level can exceed -inf, so the run records none, and nested's
+        # live set has nothing above the last level to credit
+        problem = BayesianProblem(
+            dimension=1, priors=[uniform_prior(0.0, 1.0)],
+            log_likelihood=lambda t: NEG_INF)
+        est = run(problem, config, seed=0)
+        assert est.termination_reason == TerminationReason.degenerate_level
+        assert est.log_evidence == NEG_INF and len(est.trace) == 0
 
     def test_levels_strictly_increase(self):
         cfg = NestedConfig(n_live=100,

@@ -27,4 +27,4 @@ def test_quick_prints_one_line_per_run_and_a_total(capsys):
         assert match.groups()[:4] == (bench, est, config, str(seed))
     assert re.fullmatch(r"total [0-9a-f]{64}", lines[-1])
     # the full set covers every estimator and config on each benchmark
-    assert len(tool.plan(quick=False)) == 98
+    assert len(tool.plan(quick=False)) == 112

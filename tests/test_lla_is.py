@@ -225,6 +225,36 @@ class TestRunLLAIS:
         assert est.trace.n_evals[0] == 101
         assert est.total_evals <= 2000 + 100
 
+    def test_first_refit_without_two_survivors_stops(self):
+        # f = 0.85 of 10 rows puts the level at the 9th lowest, leaving one
+        # survivor: no density can be fitted and none came before
+        f = LevelPolicy(f_init=0.85, f_slope=0.0, f_max=0.85)
+        est = run_lla_is(_uniform_problem(),
+                         ISConfig(n_initial=10, level_policy=f), seed=0)
+        assert est.termination_reason == TerminationReason.degenerate_level
+        assert len(est.trace) == 1
+
+    def test_later_refit_without_two_survivors_reuses_the_density(self):
+        # the first level keeps 9 of 10 rows and fits a density; the
+        # second, at f = 0.85, keeps one, so the first density is reused
+        cfg = ISConfig(n_initial=10, ess_threshold_fraction=0.0,
+                       level_policy=LevelPolicy(f_init=0.1, f_slope=0.75,
+                                                f_max=0.85))
+        levels = _ISLevels(_uniform_problem(), cfg, 0)
+        trace = LevelTrace()
+        for iteration in (1, 2):
+            log_lambda = levels.level(iteration, trace)
+            chi = levels.mass(iteration, log_lambda, trace)[0]
+            trace.add_level(log_lambda, chi, 0.0, None, None, 0)
+            if iteration == 1:
+                levels.advance(iteration, log_lambda, trace)
+                isd = levels.isd
+                assert isd is not None
+        assert int((levels.log_L > log_lambda).sum()) == 1
+        with pytest.warns(RuntimeWarning, match="too few survivors"):
+            levels.advance(2, log_lambda, trace)
+        assert levels.isd is isd
+
     def test_budget_cap_respected(self):
         stop = StoppingPolicy(max_evals=1500)
         est = run_lla_is(_uniform_problem(),

@@ -11,8 +11,11 @@ digits when importance and stratified sampling came to share one weighted
 pool, whose chi is an exactly rounded sum of row weights: the bimodal_2d
 stratified pin and the conjugate_gaussian and truncated_gaussian_1d
 importance-sampling pins.  Their streams, levels and evaluation counts
-held; only the sums moved.  The second half checks that no
-estimator builds a SeedSequence per chain.
+held; only the sums moved.  The two n_live = 40 nested pins were
+re-recorded when nested and LLA-MCMC came to share one population class,
+which refills after the stop check: their chains and keys held, but the
+refill due after the last level is no longer drawn.  The second half checks
+that no estimator builds a SeedSequence per chain.
 """
 
 import functools
@@ -53,15 +56,16 @@ PINNED = [
      "-82.35397398608876", 12054),
     # nested with n_live <= 40 refills each dead slot on its own, a batch
     # of one chain: full-vector on conjugate_gaussian (a run to its chi
-    # floor) and component-wise on highdim_gaussian_100
+    # floor) and component-wise on highdim_gaussian_100.  Re-recorded when
+    # refills moved after the stop check, so no refill follows the last level
     ("conjugate_gaussian", run_nested,
      functools.partial(NestedConfig, n_live=40,
                        stopping=StoppingPolicy(max_iterations=300)), 7,
-     "-77.30087205425909", 3697),
+     "-77.30085683734144", 3680),
     ("highdim_gaussian_100", run_nested,
      functools.partial(NestedConfig, n_live=40,
                        stopping=StoppingPolicy(max_iterations=60)), 7,
-     "-167.4176445122296", 1240),
+     "-167.3923267420934", 1220),
     # prior and importance-density draws at d = 1 and 3, and a
     # stratified level at d = 4 (625 strata)
     ("conjugate_gaussian", run_lla_is, ISConfig, 7,
@@ -119,7 +123,7 @@ def test_mcmc_advance_builds_no_seed_sequence_per_chain(seed_sequences):
     trace = LevelTrace()
     log_lambda = levels.level(1, trace)
     levels.mass(1, log_lambda, trace)
-    assert int((~levels.passing).sum()) == 100
+    assert levels.cursor == 100
     built = seed_sequences.built
     levels.advance(1, log_lambda, trace)
     assert seed_sequences.built == built

@@ -1,7 +1,7 @@
 """SHA-256 fingerprints of estimator runs, to show that a change kept every
 output bit for bit.
 
-    python3 tools/fingerprint.py            # 98 runs, about 11 s
+    python3 tools/fingerprint.py            # 112 runs, about 15 s
     python3 tools/fingerprint.py --quick    # a few runs, under 1 s
 
 Each run prints one line: benchmark, estimator, config, seed, a SHA-256
@@ -71,6 +71,12 @@ def _suite_nested():
                                                 max_evals=10**6))
 
 
+def _one_chain_nested():
+    # at n_live <= 40 a refill of one chain is due at every death
+    return NestedConfig(n_live=40,
+                        stopping=StoppingPolicy(max_iterations=300))
+
+
 def _criterion_7_mcmc():
     return MCMCConfig(
         n_samples=1000, n_replace=100,
@@ -91,6 +97,7 @@ RUNS = (
     ("lla_is", "criterion1", lambda p, s: run_lla_is(p, _criterion_1_is(), s)),
     ("lla_mcmc", "default", lambda p, s: run_lla_mcmc(p, MCMCConfig(), s)),
     ("nested", "default", lambda p, s: run_nested(p, NestedConfig(), s)),
+    ("nested", "n_live40", lambda p, s: run_nested(p, _one_chain_nested(), s)),
     ("mc", "n20000", lambda p, s: run_mc(p, 20000, s)),
     ("lla_ss", "default", lambda p, s: run_lla_ss(p, SSConfig(), s)),
 )
