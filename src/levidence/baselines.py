@@ -64,8 +64,9 @@ def run_mc(problem, n, seed):
 class _NestedLevels(_PopulationLevels):
     """lla_mcmc's population with one death per level (ties die together)
     and a refill once NESTED_REFILL_FRACTION * n_live (rounded up) have
-    died.  The refill goes into the dead slots in the order of death, and
-    the run's j-th death draws from SeedSequence([seed, j])'s stream.  A
+    died.  The new points go into the dead slots, order[:cursor], which the
+    population's stable sort keeps in the order of death, and the run's
+    j-th refilled death draws from SeedSequence([seed, j])'s stream.  A
     plateau (no living point above the level) stops the run before chi
     shrinks; the final live set is the tail.
     """
@@ -73,16 +74,16 @@ class _NestedLevels(_PopulationLevels):
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed, config.n_live, 1,
                          math.ceil(NESTED_REFILL_FRACTION * config.n_live))
+        self.n_refilled = 0
 
     def generators(self, iteration):
         return keyed_generators((self.seed,), range(
-            self.n_deaths - self.cursor + 1, self.n_deaths + 1))
+            self.n_refilled + 1, self.n_refilled + self.cursor + 1))
 
     def place(self, above, samples, log_L):
-        # the order of death: by log L, ties in slot order
-        dead = np.flatnonzero(~above)
-        dead = dead[np.argsort(self.log_L[dead], kind="stable")]
+        dead = self.order[:self.cursor]
         self.samples[dead], self.log_L[dead] = samples, log_L
+        self.n_refilled += self.cursor
 
     def mass(self, iteration, log_lambda, trace):
         if self.sorted_log_L[-1] <= log_lambda:

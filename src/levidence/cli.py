@@ -199,11 +199,13 @@ def _config(cfg, name, cls, **given):
     return _build(cfg, name, cls, _section(cfg, name, _keys(cls)), **given)
 
 
-def _estimator_runner(cfg, problem, stopping):
+def _estimator_runner(cfg, problem, stopping, budget=None):
     """Bind the configured estimator to a callable of one seed argument.
 
     The table is built per call, so it holds this module's run functions as
     they are then.  The sections read are those the module docstring lists.
+    mc has no stopping policy: a sweep's budget, when given, is its sample
+    count in place of [mc] n.
     """
     name, path = cfg["estimator"], cfg["path"]
     cls, run = {"mc": (None, run_mc), "nested": (NestedConfig, run_nested),
@@ -222,6 +224,8 @@ def _estimator_runner(cfg, problem, stopping):
         if n < 1:
             raise ConfigError(path, _key_line(path, name, "n"),
                               "n must be >= 1")
+        if budget is not None:
+            n = budget
         return lambda s: run(problem, n, s)
 
     given = {"stopping": stopping}
@@ -486,7 +490,7 @@ def cmd_convergence(args):
     rows = []
     for budget in budgets:
         stopping = dataclasses.replace(base_stopping, max_evals=budget)
-        runner = _estimator_runner(cfg, problem, stopping)
+        runner = _estimator_runner(cfg, problem, stopping, budget)
         _, results = _run_replications(runner, cfg["seed"],
                                        cfg["replications"], args.workers)
         errs = [_error_percent(r.log_evidence, reference) for r in results]

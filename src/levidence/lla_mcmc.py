@@ -15,7 +15,8 @@ coordinate accepts on its own prior ratio, cached per coordinate from
 core.log_terms, which makes one log_pdf call per block of identical prior
 marginals.  replenish is the only code that moves a chain, and
 constrained_mh_step the only step.  _PopulationLevels is the one population
-strategy, and nested sampling (baselines._NestedLevels) a subclass of it.
+strategy: LLA-MCMC is that population with n_replace deaths per level, and
+nested sampling (baselines._NestedLevels) a subclass of it with one.
 A prior std that is not finite and positive is rejected before any chain
 moves.
 """
@@ -159,12 +160,13 @@ def chi_mcmc(chi_prev, n_pass, n_total):
 
 
 class _PopulationLevels(LevelStrategy):
-    """n points, sorted once per refill; the dead are order[:cursor].  A
-    level is select_level over the living points at the fraction n_kill / n.
-    Every living point at or below it dies, ties included, and chi shrinks
-    by the living points' pass fraction.  Once batch have died, replenish
-    refills them from the survivors.  The parts generators and place
-    default to LLA-MCMC's.
+    """n points, sorted once per refill by a stable sort, so the dead,
+    order[:cursor], are in their order of death: by log L, ties in slot
+    order.  A level is select_level over the living points at the fraction
+    n_kill / n.  Every living point at or below it dies, ties included, and
+    chi shrinks by the living points' pass fraction.  Once batch have died,
+    replenish refills them from the survivors.  The parts generators and
+    place default to LLA-MCMC's.
     """
 
     def __init__(self, problem, config, seed, n, n_kill, batch):
@@ -173,14 +175,13 @@ class _PopulationLevels(LevelStrategy):
         f = n_kill / n
         self.level_policy = LevelPolicy(f_init=f, f_slope=0.0, f_max=f)
         self.batch = batch
-        self.n_deaths = 0
         rng0 = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.samples = problem.sample_prior(rng0, n)
         self.log_L = self.logL_fn.rows(self.samples)
         self._sort()
 
     def _sort(self):
-        self.order = np.argsort(self.log_L)
+        self.order = np.argsort(self.log_L, kind="stable")
         self.sorted_log_L = self.log_L[self.order]
         self.cursor = 0                 # the dead points are order[:cursor]
 
@@ -196,7 +197,6 @@ class _PopulationLevels(LevelStrategy):
         dying = self.order[self.cursor:n_dead]
         n_alive = len(self.order) - self.cursor
         self.cursor = n_dead
-        self.n_deaths += len(dying)
         chi = chi_mcmc(trace.chi_current, n_alive - len(dying), n_alive)
         return chi, self.samples[np.sort(dying)], None, NEG_INF
 
@@ -220,15 +220,8 @@ class _PopulationLevels(LevelStrategy):
         self.log_L = np.concatenate([self.log_L[above], log_L])
 
 
-class _MCMCLevels(_PopulationLevels):
-    """Each level kills the n_replace lowest of n_samples (more on a tie)
-    and refills them at once."""
-
-    def __init__(self, problem, config, seed):
-        super().__init__(problem, config, seed, config.n_samples,
-                         config.n_replace, 1)
-
-
 def run_lla_mcmc(problem, config, seed):
-    """Run the full MCMC evidence loop."""
-    return run_levels(_MCMCLevels(problem, config, seed))
+    """Run the full MCMC evidence loop: each level kills the n_replace
+    lowest of n_samples (more on a tie) and refills them at once."""
+    return run_levels(_PopulationLevels(problem, config, seed,
+                                        config.n_samples, config.n_replace, 1))

@@ -53,9 +53,6 @@ class SSConfig:
     stopping: StoppingPolicy = field(default_factory=StoppingPolicy)
 
     def __post_init__(self):
-        if not all(c >= 1 for c in self.per_dim_counts):
-            raise ConfigFieldError("per_dim_counts", "per-dimension stratum "
-                                   "counts must be >= 1")
         for c in self.per_dim_counts:
             check_count("per_dim_counts", c, 1)
         self.per_dim_counts = tuple(int(c) for c in self.per_dim_counts)

@@ -214,7 +214,7 @@ class TestRunNested:
         assert refills == [
             [np.random.default_rng(np.random.SeedSequence([3, j]))
              .bit_generator.state["state"] for j in range(1, m + 1)]]
-        assert levels.cursor == 0 and levels.n_deaths == m
+        assert levels.cursor == 0 and levels.n_refilled == m
         assert np.all(levels.log_L > 0.0)
         # on the top plateau every living point ties, so no chain can
         # start; the run stops there and its tail row credits the plateau
@@ -271,6 +271,48 @@ class TestRunNested:
         n_evals = est.trace.n_evals[:-1]
         assert n_evals[0] == n_evals[1] == n_evals[2] == 100
         assert n_evals[3] > 100 and n_evals[4] == n_evals[3]
+
+    @pytest.mark.parametrize("tied", (True, False))
+    def test_refill_fills_the_slots_in_order_of_death(self, monkeypatch,
+                                                      tied):
+        # replenish returns point j as the row (10 + j) at log L 100 + j;
+        # the j-th new point goes into the slot of the j-th death, deaths
+        # ordered by log L and then by slot.  Tied: at n_live = 40 the
+        # first level kills the whole lowest plateau of floor(4 theta) in
+        # one refill.  Untied: at n_live = 100 three single deaths of
+        # distinct log L share one refill
+        if tied:
+            problem, n_live = BayesianProblem(
+                dimension=1, priors=[uniform_prior(0.0, 1.0)],
+                log_likelihood=lambda t: float(math.floor(4.0 * t[0]))), 40
+        else:
+            problem, n_live = _uniform_problem(), 100
+        expected = []
+
+        def recognisable(passing, passing_log_L, log_lambda, *args):
+            dead = np.flatnonzero(levels.log_L <= log_lambda)
+            dead = dead[np.lexsort((dead, levels.log_L[dead]))]
+            expected.append((dead, levels.log_L[dead]))
+            n = len(args[-1])
+            return (10.0 + np.arange(n, dtype=float)[:, None],
+                    100.0 + np.arange(n, dtype=float))
+
+        monkeypatch.setattr(lla_mcmc, "replenish", recognisable)
+        batch = math.ceil(NESTED_REFILL_FRACTION * n_live)
+        levels = _NestedLevels(problem, NestedConfig(
+            n_live=n_live,
+            stopping=StoppingPolicy(max_iterations=batch + 1)), 4)
+        run_levels(levels)
+        ((slots, dead_log_L),) = expected
+        if tied:
+            assert len(slots) > 1 and np.ptp(dead_log_L) == 0
+        else:
+            # the order of death is not the slot order
+            assert len(slots) == 3 and sorted(slots) != slots.tolist()
+        assert levels.samples[slots, 0].tolist() == [
+            10.0 + j for j in range(len(slots))]
+        assert levels.log_L[slots].tolist() == [
+            100.0 + j for j in range(len(slots))]
 
     @pytest.mark.parametrize("max_iterations", (1, 7))
     def test_no_refill_after_the_last_level(self, monkeypatch,

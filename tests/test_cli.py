@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from levidence import cli
+from levidence.baselines import run_mc
 from levidence.cli import (ConfigError, load_config, main, read_record,
                            replication_seed)
 from levidence.core import ConfigFieldError
@@ -468,6 +469,24 @@ class TestConvergence:
         # the larger budget should not be less accurate on this problem
         errs = [float(r[1]) for r in rows[1:]]
         assert errs[1] <= errs[0]
+
+    def test_mc_draws_the_budget(self, tmp_path, capsys, monkeypatch):
+        # mc has no stopping policy: each budget is its sample count, in
+        # place of [mc] n = 2000
+        drawn = []
+
+        def recording(problem, n, seed):
+            drawn.append(n)
+            return run_mc(problem, n, seed)
+
+        monkeypatch.setattr(cli, "run_mc", recording)
+        cfg = _write(tmp_path / "mc.ini", MC_CONFIG)
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", cfg, "--out-dir", str(out),
+                     "--budgets", "100,10000"]) == 0
+        assert drawn == [100] * 3 + [10000] * 3
+        rows = list(csv.reader(open(out / "convergence.csv")))
+        assert rows[1][1:] != rows[2][1:]
 
     def test_worker_count_does_not_change_table(self, tmp_path, capsys):
         cfg = _write(tmp_path / "m.ini", MCMC_CONFIG)

@@ -281,9 +281,11 @@ class TestRunLLASS:
         assert np.isfinite(est.log_evidence)
 
     def test_invalid_config_rejected(self):
-        for counts in ((0,), (math.nan,)):
-            with pytest.raises(ValueError, match="stratum counts"):
+        # a count that is no integer fails the same check as one below 1
+        for counts in ((0,), (math.nan,), ("a",)):
+            with pytest.raises(ConfigFieldError) as exc:
                 SSConfig(per_dim_counts=counts)
+            assert exc.value.field == "per_dim_counts"
         for n in (0, math.nan):
             with pytest.raises(ValueError, match="n_per_iteration"):
                 SSConfig(n_per_iteration=n)

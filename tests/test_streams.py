@@ -28,7 +28,7 @@ from levidence import (ISConfig, MCMCConfig, NestedConfig, SSConfig,
                        StoppingPolicy, run_lla_is, run_lla_mcmc, run_lla_ss,
                        run_nested)
 from levidence.core import LevelTrace
-from levidence.lla_mcmc import _MCMCLevels
+from levidence.lla_mcmc import _PopulationLevels
 from levidence.models import make_benchmark
 
 PINNED = [
@@ -118,8 +118,9 @@ def seed_sequences(monkeypatch):
 
 def test_mcmc_advance_builds_no_seed_sequence_per_chain(seed_sequences):
     problem, _ = make_benchmark("conjugate_gaussian", 7)
-    levels = _MCMCLevels(problem, MCMCConfig(n_samples=1000, n_replace=100),
-                         7)
+    cfg = MCMCConfig(n_samples=1000, n_replace=100)
+    levels = _PopulationLevels(problem, cfg, 7, cfg.n_samples, cfg.n_replace,
+                               1)
     trace = LevelTrace()
     log_lambda = levels.level(1, trace)
     levels.mass(1, log_lambda, trace)

@@ -11,7 +11,8 @@ error, and a second SHA-256 over the ladder alone: the lambda and n_evals
 traces, the stop reason and the evaluation count.  A change that moves
 only sums keeps the second hash.  The last line is a SHA-256 over all run
 lines.  Run it on two checkouts and compare the output; it imports
-levidence from the src/ next to this file, and from nowhere else.
+levidence from the src/ next to this file, and from nowhere else, and
+criterion 1's configs from tests/test_acceptance.py there.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import sys
 import warnings
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from levidence import (ISConfig, KernelConfig, LevelPolicy,  # noqa: E402
-                       MCMCConfig, NestedConfig, SSConfig, StoppingPolicy,
-                       make_benchmark, run_lla_is, run_lla_mcmc, run_lla_ss,
-                       run_mc, run_nested)
+from levidence import (ISConfig, KernelConfig, MCMCConfig,  # noqa: E402
+                       NestedConfig, SSConfig, StoppingPolicy, make_benchmark,
+                       run_lla_is, run_lla_mcmc, run_lla_ss, run_mc,
+                       run_nested)
+from test_acceptance import (_is_config, _mcmc_config,  # noqa: E402
+                             _ss_config)
 
 BENCHMARKS = ("conjugate_gaussian", "uniform_linear", "truncated_gaussian_1d",
               "bimodal_2d", "polynomial_regression_d1",
@@ -36,36 +40,16 @@ SEEDS = (7, 8)
 QUICK_SEED = 7
 
 
-def _criterion_1_is():
-    return ISConfig(
-        n_initial=1000, ess_threshold_fraction=0.001, stddev_override=0.125,
-        level_policy=LevelPolicy(f_init=0.025, f_slope=0.025, f_max=0.3,
-                                 escalation_factor=1.5, escalation_cap=0.999),
-        stopping=StoppingPolicy(max_iterations=250, max_evals=25000))
-
-
-def _capped_criterion_3_mcmc():
+def _criterion_3_mcmc(max_evals):
+    # criterion 3's config (max_evals 100000) under another evaluation cap
     return MCMCConfig(
         n_samples=500, n_replace=50, kernel=KernelConfig(steps_per_sample=3),
         stopping=StoppingPolicy(delta_evidence_tol=1e-4, chi_tol=1e-30,
-                                max_iterations=2000, max_evals=5000))
-
-
-def _suite_ss():
-    return SSConfig(
-        per_dim_counts=(5,), n_per_iteration=175,
-        level_policy=LevelPolicy(f_init=0.025, f_slope=0.025, f_max=0.9,
-                                 escalation_factor=1.02, escalation_cap=0.999),
-        stopping=StoppingPolicy(max_iterations=250, max_evals=20000))
-
-
-def _suite_mcmc():
-    return MCMCConfig(
-        n_samples=1000, n_replace=25, kernel=KernelConfig(steps_per_sample=2),
-        stopping=StoppingPolicy(max_iterations=250, max_evals=25000))
+                                max_iterations=2000, max_evals=max_evals))
 
 
 def _suite_nested():
+    # criterion 2's nested config
     return NestedConfig(n_live=500,
                         stopping=StoppingPolicy(max_iterations=20000,
                                                 max_evals=10**6))
@@ -94,7 +78,7 @@ def _capped_nested():
 # (estimator, config name, run(problem, seed))
 RUNS = (
     ("lla_is", "default", lambda p, s: run_lla_is(p, ISConfig(), s)),
-    ("lla_is", "criterion1", lambda p, s: run_lla_is(p, _criterion_1_is(), s)),
+    ("lla_is", "criterion1", lambda p, s: run_lla_is(p, _is_config(), s)),
     ("lla_mcmc", "default", lambda p, s: run_lla_mcmc(p, MCMCConfig(), s)),
     ("nested", "default", lambda p, s: run_nested(p, NestedConfig(), s)),
     ("nested", "n_live40", lambda p, s: run_nested(p, _one_chain_nested(), s)),
@@ -105,9 +89,9 @@ RUNS = (
 # criterion1 above), at both seeds: (benchmark, estimator, config name, run)
 PERFBENCH = (
     ("conjugate_gaussian", "lla_ss", "suite",
-     lambda p, s: run_lla_ss(p, _suite_ss(), s)),
+     lambda p, s: run_lla_ss(p, _ss_config(), s)),
     ("conjugate_gaussian", "lla_mcmc", "suite",
-     lambda p, s: run_lla_mcmc(p, _suite_mcmc(), s)),
+     lambda p, s: run_lla_mcmc(p, _mcmc_config(), s)),
     ("conjugate_gaussian", "nested", "suite",
      lambda p, s: run_nested(p, _suite_nested(), s)),
 ) + tuple(
@@ -117,7 +101,7 @@ PERFBENCH = (
 # on highdim_gaussian_100 at the first seed: component-wise chain moves
 HIGHDIM = (
     ("lla_mcmc", "criterion3_capped",
-     lambda p, s: run_lla_mcmc(p, _capped_criterion_3_mcmc(), s)),
+     lambda p, s: run_lla_mcmc(p, _criterion_3_mcmc(5000), s)),
     ("nested", "capped", lambda p, s: run_nested(p, _capped_nested(), s)),
 )
 
