@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,8 +37,7 @@ class NestedConfig:
 
 def run_mc(problem, n, seed):
     """Direct prior expectation of the likelihood, with a delta-method SE."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     logL_fn = CountingLikelihood(problem.log_likelihood,
                                  problem.log_likelihood_rows)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -65,25 +65,25 @@ class _NestedLevels(_PopulationLevels):
     """lla_mcmc's population with one death per level (ties die together)
     and a refill once NESTED_REFILL_FRACTION * n_live (rounded up) have
     died.  The new points go into the dead slots, order[:cursor], which the
-    population's stable sort keeps in the order of death, and the run's
-    j-th refilled death draws from SeedSequence([seed, j])'s stream.  A
-    plateau (no living point above the level) stops the run before chi
-    shrinks; the final live set is the tail.
+    population's stable sort keeps in the order of death.  With full-vector
+    moves the run's j-th refilled death draws from SeedSequence([seed, j])'s
+    stream, the next generator of one lazy stream over j = 1, 2, ...;
+    component-wise refills draw like LLA-MCMC's, from
+    SeedSequence([seed, iteration]).  A plateau (no living point above the
+    level) stops the run before chi shrinks; the final live set is the tail.
     """
 
     def __init__(self, problem, config, seed):
         super().__init__(problem, config, seed, config.n_live, 1,
                          math.ceil(NESTED_REFILL_FRACTION * config.n_live))
-        self.n_refilled = 0
+        self.stream = keyed_generators((seed,), itertools.count(1))
 
     def generators(self, iteration):
-        return keyed_generators((self.seed,), range(
-            self.n_refilled + 1, self.n_refilled + self.cursor + 1))
+        return itertools.islice(self.stream, self.cursor)
 
     def place(self, above, samples, log_L):
         dead = self.order[:self.cursor]
         self.samples[dead], self.log_L[dead] = samples, log_L
-        self.n_refilled += self.cursor
 
     def mass(self, iteration, log_lambda, trace):
         if self.sorted_log_L[-1] <= log_lambda:

@@ -4,21 +4,24 @@ The super-level prior mass telescopes as a product of per-iteration pass
 fractions.  Samples rejected at each new level are replenished by Markov
 chains whose stationary distribution is the prior conditioned on the
 super-level region.  All of a level's replacement chains advance together as
-the rows of one (n, d) array, each with its own generator: chain c of
-iteration i draws from the stream of SeedSequence([seed, i, c]), which
-core.keyed_generators yields for a whole level at once.  A step accepts
-on the prior ratio first, for all rows at once against each row's cached log
-prior, and only then evaluates the likelihood gate on the rows that moved,
-so prior-rejected proposals cost no likelihood evaluations.  Up to
-COMPONENT_WISE_DIMENSION the proposal moves the full vector; above it each
-coordinate accepts on its own prior ratio, cached per coordinate from
+the rows of one (n, d) array.  A step accepts on the prior ratio first, for
+all rows at once against each row's cached log prior, and only then
+evaluates the likelihood gate on the rows that moved, so prior-rejected
+proposals cost no likelihood evaluations.  Up to COMPONENT_WISE_DIMENSION
+the proposal moves the full vector, and each chain draws from its own
+generator: chain c of iteration i from the stream of
+SeedSequence([seed, i, c]), which core.keyed_generators yields for a whole
+level at once.  Above it each coordinate accepts on its own prior ratio
+(the modified Metropolis of Au & Beck 2001), cached per coordinate from
 core.log_terms, which makes one log_pdf call per block of identical prior
-marginals.  replenish is the only code that moves a chain, and
-constrained_mh_step the only step.  _PopulationLevels is the one population
-strategy: LLA-MCMC is that population with n_replace deaths per level, and
-nested sampling (baselines._NestedLevels) a subclass of it with one.
-A prior std that is not finite and positive is rejected before any chain
-moves.
+marginals; and the whole refill draws from three generators spawned from
+SeedSequence([seed, i]), in one call each, chain c taking row c
+(Papaioannou et al. 2015).  replenish is the only code that moves a chain,
+and constrained_mh_step the only step.  _PopulationLevels is the one
+population strategy: LLA-MCMC is that population with n_replace deaths per
+level, and nested sampling (baselines._NestedLevels) a subclass of it with
+one.  A prior std that is not finite and positive is rejected before any
+chain moves.
 """
 
 from __future__ import annotations
@@ -110,35 +113,49 @@ def constrained_mh_step(state, log_L, log_p, log_lambda, delta, log_u,
 
 
 def replenish(passing, passing_log_L, log_lambda, kernel_stddev,
-              steps_per_sample, problem, logL_fn, rngs):
-    """Replacement samples above the level, one short chain per generator.
+              steps_per_sample, problem, logL_fn, n, level_key, rngs):
+    """n replacement samples above the level, one short chain each.
 
-    rngs holds one fresh generator per chain, as core.keyed_generators
-    yields them for the callers.  Each chain starts at a survivor drawn by
-    its generator and takes steps_per_sample constrained steps; all chains
-    advance together as the rows of one array.  A chain's draws do not
-    depend on its state, so they are taken up front: the start index, then
-    per step a standard normal vector and one uniform, or d uniforms when
-    moves are component-wise (above COMPONENT_WISE_DIMENSION).  A chain's
-    row therefore does not depend on the other chains of the batch.
+    Each chain starts at a survivor and takes steps_per_sample constrained
+    steps; all chains advance together as the rows of one array.  A chain's
+    draws do not depend on its state, so they are taken up front, from the
+    streams that the kernel's dimension test picks:
+    - full-vector moves (d <= COMPONENT_WISE_DIMENSION): chain c draws
+      from the c-th generator rngs yields (core.keyed_generators, for the
+      callers) its start index, then per step a standard normal vector and
+      one uniform;
+    - component-wise moves: three generators spawned from
+      SeedSequence(level_key) draw n start indices, (n, steps, d) normals
+      and (n, steps, d) uniforms, one call each, and chain c takes row c;
+      rngs is not iterated.
+    Either way a chain's row does not depend on the other chains of the
+    batch.
     """
     if len(passing) == 0:
         raise StopRun(TerminationReason.degenerate_level,
                       "level unreachable: no surviving samples")
-    if len(rngs) < 1:
+    if n < 1:
         raise ValueError("need at least one chain")
-    n, d = len(rngs), problem.dimension
+    d = problem.dimension
     component_wise = d > COMPONENT_WISE_DIMENSION
-    u_size = d if component_wise else None
-    starts = np.empty(n, dtype=np.intp)
-    z = np.empty((steps_per_sample, n, d))
-    u = np.empty((steps_per_sample, n) + ((d,) if component_wise else ()))
-    for c, rng in enumerate(rngs):
-        starts[c] = rng.integers(len(passing))
-        for s in range(steps_per_sample):
-            # random() is uniform() on [0, 1) without its bounds arithmetic
-            rng.standard_normal(out=z[s, c])
-            u[s, c] = rng.random(u_size)
+    if component_wise:
+        starts_rng, z_rng, u_rng = (
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(level_key).spawn(3))
+        starts = starts_rng.integers(len(passing), size=n)
+        # chain-major draws, viewed step-major like the per-chain ones
+        z = z_rng.standard_normal((n, steps_per_sample, d)).transpose(1, 0, 2)
+        u = u_rng.random((n, steps_per_sample, d)).transpose(1, 0, 2)
+    else:
+        starts = np.empty(n, dtype=np.intp)
+        z = np.empty((steps_per_sample, n, d))
+        u = np.empty((steps_per_sample, n))
+        for c, rng in enumerate(rngs):
+            starts[c] = rng.integers(len(passing))
+            for s in range(steps_per_sample):
+                # random() is uniform() on [0, 1) without its bounds arithmetic
+                rng.standard_normal(out=z[s, c])
+                u[s, c] = rng.random()
     delta = np.multiply(z, kernel_stddev, out=z)
     log_u = np.log(u, out=u)
 
@@ -207,12 +224,14 @@ class _PopulationLevels(LevelStrategy):
         self.place(above, *replenish(
             self.samples[above], self.log_L[above], log_lambda,
             self.kernel_stddev, self.config.kernel.steps_per_sample,
-            self.problem, self.logL_fn, list(self.generators(iteration))))
+            self.problem, self.logL_fn, self.cursor, [self.seed, iteration],
+            self.generators(iteration)))
         self._sort()
 
     def generators(self, iteration):
-        """Chain c of iteration i draws from SeedSequence([seed, i, c])."""
-        return keyed_generators((self.seed, iteration), range(self.cursor))
+        """Full-vector chain c of iteration i draws from
+        SeedSequence([seed, i, c]); none is built until replenish asks."""
+        yield from keyed_generators((self.seed, iteration), range(self.cursor))
 
     def place(self, above, samples, log_L):
         """The survivors (above the level) in order, then the new points."""

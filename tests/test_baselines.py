@@ -9,9 +9,9 @@ from levidence import lla_mcmc
 from levidence.baselines import (NESTED_REFILL_FRACTION, NESTED_WALK_STEPS,
                                  NestedConfig, _NestedLevels, run_mc,
                                  run_nested)
-from levidence.core import (NEG_INF, BayesianProblem, LevelTrace,
-                            MarginalPrior, TerminationReason, log_sum_exp,
-                            normal_prior, uniform_prior)
+from levidence.core import (NEG_INF, BayesianProblem, ConfigFieldError,
+                            LevelTrace, MarginalPrior, TerminationReason,
+                            log_sum_exp, normal_prior, uniform_prior)
 from levidence.lla_mcmc import KernelConfig, MCMCConfig, run_lla_mcmc
 from levidence.schedule import StoppingPolicy, run_levels
 
@@ -122,8 +122,15 @@ class TestRunMC:
         assert est.log_evidence == NEG_INF
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            run_mc(_uniform_problem(), 0, seed=0)
+        # checked like every config count: a bool or a float is no count
+        for n in (0, True, 2.0):
+            with pytest.raises(ConfigFieldError, match="n must be") as exc:
+                run_mc(_uniform_problem(), n, seed=0)
+            assert exc.value.field == "n"
+
+    def test_numpy_integer_n(self):
+        est = run_mc(_uniform_problem(), np.int64(50), seed=0)
+        assert est.total_evals == 50
 
 
 class TestRunNested:
@@ -186,16 +193,19 @@ class TestRunNested:
     def test_tied_points_die_together(self, monkeypatch):
         # log L = floor(4 theta) has four plateaus: every living point on
         # the lowest dies at the first level, chi drops by their fraction,
-        # and one refill draws their chains with keys 1..m in slot order
+        # and one refill draws their chains with keys 1..m in slot order,
+        # the first m generators of nested's stream
         problem = BayesianProblem(
             dimension=1, priors=[uniform_prior(0.0, 1.0)],
             log_likelihood=lambda t: float(math.floor(4.0 * t[0])))
         refills = []
 
         def recording(passing, passing_log_L, log_lambda, *args):
+            rngs = list(args[-1])
             refills.append([rng.bit_generator.state["state"]
-                            for rng in args[-1]])
-            return replenish(passing, passing_log_L, log_lambda, *args)
+                            for rng in rngs])
+            return replenish(passing, passing_log_L, log_lambda,
+                             *args[:-1], rngs)
 
         replenish = lla_mcmc.replenish
         monkeypatch.setattr(lla_mcmc, "replenish", recording)
@@ -214,7 +224,10 @@ class TestRunNested:
         assert refills == [
             [np.random.default_rng(np.random.SeedSequence([3, j]))
              .bit_generator.state["state"] for j in range(1, m + 1)]]
-        assert levels.cursor == 0 and levels.n_refilled == m
+        assert levels.cursor == 0
+        assert (next(levels.stream).bit_generator.state["state"]
+                == np.random.default_rng(np.random.SeedSequence([3, m + 1]))
+                .bit_generator.state["state"])
         assert np.all(levels.log_L > 0.0)
         # on the top plateau every living point ties, so no chain can
         # start; the run stops there and its tail row credits the plateau
@@ -248,12 +261,13 @@ class TestRunNested:
         refills = []
 
         def recording(passing, passing_log_L, log_lambda, *args):
-            rngs = args[-1]
+            rngs = list(args[-1])
             refills.append([rng.bit_generator.state["state"]
                             for rng in rngs])
             assert np.all(passing_log_L > log_lambda)
             assert len(passing) == 100 - len(rngs)
-            return replenish(passing, passing_log_L, log_lambda, *args)
+            return replenish(passing, passing_log_L, log_lambda,
+                             *args[:-1], rngs)
 
         replenish = lla_mcmc.replenish
         monkeypatch.setattr(lla_mcmc, "replenish", recording)
@@ -293,7 +307,7 @@ class TestRunNested:
             dead = np.flatnonzero(levels.log_L <= log_lambda)
             dead = dead[np.lexsort((dead, levels.log_L[dead]))]
             expected.append((dead, levels.log_L[dead]))
-            n = len(args[-1])
+            n = args[-3]
             return (10.0 + np.arange(n, dtype=float)[:, None],
                     100.0 + np.arange(n, dtype=float))
 
@@ -322,7 +336,7 @@ class TestRunNested:
         refills = []
 
         def recording(*args):
-            refills.append(len(args[-1]))
+            refills.append(args[-3])
             return replenish(*args)
 
         replenish = lla_mcmc.replenish

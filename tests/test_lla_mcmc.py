@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from levidence import lla_mcmc
 from levidence.core import (NEG_INF, BayesianProblem, CountingLikelihood,
-                            MarginalPrior, TerminationReason,
+                            LevelTrace, MarginalPrior, TerminationReason,
                             keyed_generators, log_terms, normal_prior,
                             truncated_normal_prior, uniform_prior)
 from levidence.lla_mcmc import (COMPONENT_WISE_DIMENSION, KernelConfig,
@@ -243,8 +244,8 @@ class TestReplenish:
         log_L = np.array([problem.log_likelihood(t) for t in passing])
         lam = math.log(2.0 * 0.7)
         s, ll = replenish(passing, log_L, lam, np.array([0.1]), 3, problem,
-                          CountingLikelihood(problem.log_likelihood),
-                          list(keyed_generators((0, 1), range(5))))
+                          CountingLikelihood(problem.log_likelihood), 5,
+                          [0, 1], keyed_generators((0, 1), range(5)))
         assert s.shape == (5, 1)
         assert ll.shape == (5,)
         assert np.all(ll > lam)
@@ -254,16 +255,17 @@ class TestReplenish:
         with pytest.raises(StopRun) as exc:
             replenish(np.empty((0, 1)), np.empty(0), 0.0,
                       np.array([0.1]), 1, problem,
-                      CountingLikelihood(problem.log_likelihood),
-                      list(keyed_generators((0, 1), [0])))
+                      CountingLikelihood(problem.log_likelihood), 1,
+                      [0, 1], keyed_generators((0, 1), [0]))
         assert exc.value.reason == TerminationReason.degenerate_level
 
     @pytest.mark.parametrize("d", [1, 3, 10, 11, 12])
     def test_rows_do_not_depend_on_batch_size(self, d):
-        # full-vector up to COMPONENT_WISE_DIMENSION and component-wise
-        # above, a chain's row is the same in a batch of 30, of 7 and of
-        # one (nested sampling's refill at n_live <= 40) when its generator
-        # has the same key
+        # full-vector up to COMPONENT_WISE_DIMENSION, a chain's row is the
+        # same in a batch of 30, of 7 and of one (nested sampling's refill
+        # at n_live <= 40) when its generator has the same key; above it,
+        # component-wise, a level draw of k chains is the first k rows of a
+        # draw of 30 from the same SeedSequence
         seen = []
         problem = _mixed_problem(d, seen)
         passing, passing_log_L, lam = _survivors(problem, 400, d)
@@ -274,7 +276,8 @@ class TestReplenish:
             return replenish(passing, passing_log_L, lam, stddev, steps,
                              problem,
                              CountingLikelihood(problem.log_likelihood),
-                             list(keyed_generators((5, 2), chains)))
+                             len(chains), [5, 2],
+                             keyed_generators((5, 2), chains))
 
         chains = range(30)
         del seen[:]
@@ -292,6 +295,11 @@ class TestReplenish:
         assert 0 < batch_calls <= 30 * steps
         assert component_wise or batch_calls < 30 * steps
         assert min(v for _, v in seen) <= lam
+        if component_wise:
+            for k in (1, 7):
+                s_k, ll_k = run(chains[:k])
+                assert np.all(s_k == s[:k]) and np.all(ll_k == ll[:k])
+            return
         s_seven, ll_seven = run(chains[3:10])
         assert np.all(s_seven == s[3:10]) and np.all(ll_seven == ll[3:10])
         del seen[:]
@@ -304,7 +312,8 @@ class TestReplenish:
     def test_component_wise_stationarity(self):
         # uniform product prior on (0, 1)^12 conditioned on theta_0 > 0.5;
         # every chain starts in a corner and must mix to U(0.5, 1] in
-        # theta_0 and U(0, 1) in theta_1
+        # theta_0 and U(0, 1) in theta_1.  Component-wise chains take the
+        # level's draws and no generator of their own
         d = 12
         problem = BayesianProblem(
             dimension=d, priors=[uniform_prior(0.0, 1.0)] * d,
@@ -314,8 +323,8 @@ class TestReplenish:
         start[0, 0] = 0.95
         s, ll = replenish(start, np.array([0.95]), 0.5,
                           KernelConfig().resolve(problem), 200, problem,
-                          CountingLikelihood(problem.log_likelihood),
-                          list(keyed_generators((9,), range(1000))))
+                          CountingLikelihood(problem.log_likelihood), 1000,
+                          [9], ())
         assert np.all(s[:, 0] > 0.5)
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert np.all(ll == s[:, 0])
@@ -323,6 +332,34 @@ class TestReplenish:
         assert s[:, 0].var() == pytest.approx(1.0 / 48.0, abs=0.003)
         assert s[:, 1].mean() == pytest.approx(0.5, abs=0.04)
         assert s[:, 1].var() == pytest.approx(1.0 / 12.0, abs=0.01)
+
+    @pytest.mark.parametrize("d", [10, 12])
+    def test_chain_generators_only_for_full_vector_moves(self, monkeypatch,
+                                                         d):
+        # a full-vector refill builds one keyed generator per chain; a
+        # component-wise one draws from its level's SeedSequence alone
+        calls, built = [], []
+
+        def counting(prefix, keys):
+            calls.append(prefix)
+            rngs = list(keyed_generators(prefix, keys))
+            built.extend(rngs)
+            return iter(rngs)
+
+        monkeypatch.setattr(lla_mcmc, "keyed_generators", counting)
+        levels = lla_mcmc._PopulationLevels(
+            _mixed_problem(d), MCMCConfig(n_samples=100, n_replace=10), 3,
+            100, 10, 1)
+        trace = LevelTrace()
+        log_lambda = levels.level(1, trace)
+        levels.mass(1, log_lambda, trace)
+        n = levels.cursor
+        levels.advance(1, log_lambda, trace)
+        assert np.all(levels.log_L > log_lambda)
+        if d > COMPONENT_WISE_DIMENSION:
+            assert calls == [] and built == []
+        else:
+            assert calls == [(3, 1)] and len(built) == n >= 10
 
 
 class TestRunLLAMCMC:

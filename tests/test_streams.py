@@ -14,8 +14,12 @@ importance-sampling pins.  Their streams, levels and evaluation counts
 held; only the sums moved.  The two n_live = 40 nested pins were
 re-recorded when nested and LLA-MCMC came to share one population class,
 which refills after the stop check: their chains and keys held, but the
-refill due after the last level is no longer drawn.  The second half checks
-that no estimator builds a SeedSequence per chain.
+refill due after the last level is no longer drawn.  The highdim_gaussian_100
+nested pin was re-recorded when component-wise chains (d > 10) came to draw
+a whole refill from three generators spawned from SeedSequence([seed,
+iteration]) instead of one keyed generator per chain: its log evidence
+moved, its evaluation count held.  The second half checks that no
+estimator builds a SeedSequence per chain.
 """
 
 import functools
@@ -57,7 +61,9 @@ PINNED = [
     # nested with n_live <= 40 refills each dead slot on its own, a batch
     # of one chain: full-vector on conjugate_gaussian (a run to its chi
     # floor) and component-wise on highdim_gaussian_100.  Re-recorded when
-    # refills moved after the stop check, so no refill follows the last level
+    # refills moved after the stop check, so no refill follows the last
+    # level; the highdim pin again when component-wise refills came to draw
+    # from their level's SeedSequence
     ("conjugate_gaussian", run_nested,
      functools.partial(NestedConfig, n_live=40,
                        stopping=StoppingPolicy(max_iterations=300)), 7,
@@ -65,7 +71,7 @@ PINNED = [
     ("highdim_gaussian_100", run_nested,
      functools.partial(NestedConfig, n_live=40,
                        stopping=StoppingPolicy(max_iterations=60)), 7,
-     "-167.3923267420934", 1220),
+     "-167.19200868341446", 1220),
     # prior and importance-density draws at d = 1 and 3, and a
     # stratified level at d = 4 (625 strata)
     ("conjugate_gaussian", run_lla_is, ISConfig, 7,
